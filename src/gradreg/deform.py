@@ -10,11 +10,20 @@ coordinates clamped to the volume extent.
 Every differentiable stage has an exact vector-Jacobian product (``vjp_*``)
 used by the optimizer; the adjoints treat clamped sample coordinates as
 constant (zero gradient).
+
+All trilinear sampling runs through one kernel, ``SamplePlan``: flat corner
+indices (8, N) int32, corner weights (8, N) f64, fractional offsets (3, N) f64
+and the inside-mask (3, N) bool, 123 bytes per sample.  A ``DeformationField``
+builds its plan when first sampled at and keeps it for its lifetime, so every
+warp, composition and adjoint at that field shares it; ``values`` must not
+change afterwards.  To stay bit-identical to direct sampling, a gather returns
+a channel-interleaved (C, nx, ny, nz) array that owns its buffer, and a
+scatter makes one corner-major ``bincount`` per channel over all eight corners.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -78,6 +87,7 @@ class DeformationField:
     """Absolute sample coordinates in voxel units, shape (3, nx, ny, nz)."""
 
     values: np.ndarray
+    _plan: SamplePlan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -91,6 +101,17 @@ class DeformationField:
     def dims(self) -> tuple[int, int, int]:
         return self.values.shape[1:]
 
+    @property
+    def plan(self) -> SamplePlan:
+        """Sample plan at these coordinates, built on first use and kept."""
+        if self._plan is None:
+            self._plan = SamplePlan(self.values, self.dims)
+        return self._plan
+
+    def drop_plan(self) -> None:
+        """Free the sample plan early; sampling here again rebuilds it."""
+        self._plan = None
+
 
 def control_dims_for(image_dims, stride: int) -> tuple[int, int, int]:
     """Control-grid shape for an image: ceil division per axis."""
@@ -101,110 +122,102 @@ def control_dims_for(image_dims, stride: int) -> tuple[int, int, int]:
 # trilinear sampling core
 
 
-def _line_setup(coords: np.ndarray, size: int):
-    """Clamp coordinates to [0, size-1] and split into cell index + offset."""
-    s = np.clip(coords, 0.0, float(size - 1))
-    i0 = np.floor(s).astype(np.intp)
-    np.clip(i0, 0, max(size - 2, 0), out=i0)
-    f = s - i0
-    i1 = np.minimum(i0 + 1, size - 1)
-    return i0, i1, f
+def _channel_last(values: np.ndarray) -> np.ndarray:
+    """(C, nx, ny, nz) channel data as (nx*ny*nz, C) rows; a view when interleaved."""
+    return np.moveaxis(values, 0, -1).reshape(-1, values.shape[0])
 
 
-def _sample_trilinear(values: np.ndarray, cx, cy, cz) -> np.ndarray:
-    """Sample (C, nx, ny, nz) channel data at clamped fractional coordinates."""
-    nx, ny, nz = values.shape[1:]
-    ix0, ix1, fx = _line_setup(cx, nx)
-    iy0, iy1, fy = _line_setup(cy, ny)
-    iz0, iz1, fz = _line_setup(cz, nz)
-    flat = values.reshape(values.shape[0], -1)
-    out = None
-    for ia, wa in ((ix0, 1.0 - fx), (ix1, fx)):
-        for ib, wb in ((iy0, 1.0 - fy), (iy1, fy)):
-            wab = wa * wb
-            base = ia * ny + ib
-            for ic, wc in ((iz0, 1.0 - fz), (iz1, fz)):
-                term = (wab * wc) * flat[:, base * nz + ic]
-                out = term if out is None else out + term
-    return out
+class SamplePlan:
+    """Trilinear samples at three broadcastable coordinate arrays into a grid of
+    ``dims``, each clamped to [0, n-1]; corners are ordered x-major, z-minor."""
 
+    def __init__(self, coords, dims):
+        self.dims = nx, ny, nz = tuple(int(n) for n in dims)
+        self.shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+        index_type = np.int32 if nx * ny * nz < 2**31 else np.intp
+        lines = []
+        for c, n in zip(coords, self.dims):
+            s = np.clip(c, 0.0, float(n - 1))
+            i0 = np.floor(s).astype(index_type)
+            np.clip(i0, 0, max(n - 2, 0), out=i0)
+            lines.append((i0, np.minimum(i0 + 1, n - 1), s - i0))
+        (ix0, ix1, fx), (iy0, iy1, fy), (iz0, iz1, fz) = lines
+        self.frac = (fx, fy, fz)
+        self.inside = tuple((c >= 0.0) & (c <= n - 1.0) for c, n in zip(coords, self.dims))
+        index = np.empty((8,) + self.shape, dtype=index_type)
+        weight = np.empty((8,) + self.shape)
+        k = 0
+        for ia, wa in ((ix0, 1.0 - fx), (ix1, fx)):
+            for ib, wb in ((iy0, 1.0 - fy), (iy1, fy)):
+                wab = wa * wb
+                base = ia * ny + ib
+                for ic, wc in ((iz0, 1.0 - fz), (iz1, fz)):
+                    np.add(base * nz, ic, out=index[k])
+                    np.multiply(wab, wc, out=weight[k])
+                    k += 1
+        self.index = index.reshape(8, -1)
+        self.weight = weight.reshape(8, -1)
 
-def _sample_vjp_fused(values: np.ndarray | None, shape, coords,
-                      upstream: np.ndarray,
-                      want_values_grad: bool, want_coords_grad: bool):
-    """One 8-corner sweep for both adjoints of trilinear sampling.
+    def gather(self, values: np.ndarray) -> np.ndarray:
+        """Sample (C, *dims) channel data; returns (C, *shape), channel-interleaved.
 
-    Returns (values_grad, coords_grad); either entry is None when not
-    requested (``values`` itself is only needed for the coordinate gradient).
-    The coordinate gradient is zero wherever the clamp to [0, n-1] is active.
-    """
-    nx, ny, nz = shape[1:]
-    ix0, ix1, fx = _line_setup(coords[0], nx)
-    iy0, iy1, fy = _line_setup(coords[1], ny)
-    iz0, iz1, fz = _line_setup(coords[2], nz)
-    flat_values = values.reshape(shape[0], -1) if values is not None else None
-    out_shape = upstream.shape[1:]
-    if want_coords_grad:
-        gx = np.zeros(out_shape)
-        gy = np.zeros(out_shape)
-        gz = np.zeros(out_shape)
-    if want_values_grad:
-        idx_parts = []
-        w_parts = []
-    for ia, wa, sa in ((ix0, 1.0 - fx, -1.0), (ix1, fx, 1.0)):
-        for ib, wb, sb in ((iy0, 1.0 - fy, -1.0), (iy1, fy, 1.0)):
-            wab = wa * wb
-            base = ia * ny + ib
-            for ic, wc, sc in ((iz0, 1.0 - fz, -1.0), (iz1, fz, 1.0)):
-                idx = base * nz + ic
-                if want_coords_grad:
-                    dotted = (upstream * flat_values[:, idx]).sum(axis=0)
-                    gx += (sa * (wb * wc)) * dotted
-                    gy += (sb * (wa * wc)) * dotted
-                    gz += (sc * wab) * dotted
-                if want_values_grad:
-                    idx_parts.append(np.broadcast_to(idx, out_shape).ravel())
-                    w_parts.append(np.broadcast_to(wab * wc, out_shape).ravel())
-    values_grad = None
-    if want_values_grad:
-        all_idx = np.concatenate(idx_parts)
-        all_w = np.concatenate(w_parts)
-        n_vox = nx * ny * nz
-        values_grad = np.empty(shape)
-        flat_up = upstream.reshape(shape[0], -1)
-        for ch in range(shape[0]):
-            values_grad[ch] = np.bincount(
-                all_idx, weights=all_w * np.tile(flat_up[ch], 8), minlength=n_vox
-            ).reshape(nx, ny, nz)
-    coords_grad = None
-    if want_coords_grad:
-        dims = (nx, ny, nz)
-        coords_grad = np.stack((gx, gy, gz))
+        The result owns its buffer: numpy then reuses it for ``gather(...) - x``,
+        whose layout sets the summation order of later reductions.
+        """
+        rows = _channel_last(values)
+        result = np.empty_like(np.moveaxis(np.empty(self.shape + rows.shape[1:]), -1, 0))
+        out = _channel_last(result)
+        np.take(rows, self.index[0], axis=0, out=out, mode="clip")
+        out *= self.weight[0][:, None]
+        corner = np.empty_like(out)
+        for k in range(1, 8):
+            np.take(rows, self.index[k], axis=0, out=corner, mode="clip")
+            corner *= self.weight[k][:, None]
+            out += corner
+        return result
+
+    def scatter(self, upstream: np.ndarray) -> np.ndarray:
+        """Adjoint of ``gather`` w.r.t. the values: (C, *shape) -> (C, *dims).
+
+        One ``bincount`` per channel over all eight corners in corner-major order.
+        """
+        index = self.index.ravel().astype(np.intp)
+        weights = np.empty_like(self.weight)
+        out = np.empty((upstream.shape[0],) + self.dims)
+        for ch, up in enumerate(upstream.reshape(upstream.shape[0], -1)):
+            np.multiply(self.weight, up, out=weights)
+            out[ch] = np.bincount(index, weights.ravel(), out[ch].size).reshape(self.dims)
+        return out
+
+    def coords_grad(self, values: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+        """Adjoint of ``gather`` w.r.t. the coordinates, zero where clamped."""
+        rows = _channel_last(values)
+        corner = np.empty(self.shape + rows.shape[1:])
+        wx, wy, wz = ((1.0 - f, f) for f in self.frac)
+        grad = np.zeros((3,) + self.shape)
+        gx, gy, gz = grad
+        for k in range(8):
+            a, b, c = k >> 2, (k >> 1) & 1, k & 1
+            np.take(rows, self.index[k], axis=0, out=corner.reshape(-1, rows.shape[1]),
+                    mode="clip")
+            dotted = (upstream * np.moveaxis(corner, -1, 0)).sum(axis=0)
+            # the low corner's weight falls as its coordinate grows
+            for g, w, rising in ((gx, wy[b] * wz[c], a), (gy, wx[a] * wz[c], b),
+                                 (gz, wx[a] * wy[b], c)):
+                if rising:
+                    g += w * dotted
+                else:
+                    g -= w * dotted
         for axis in range(3):
-            inside = (coords[axis] >= 0.0) & (coords[axis] <= dims[axis] - 1.0)
-            coords_grad[axis] *= inside
-    return values_grad, coords_grad
+            grad[axis] *= self.inside[axis]
+        return grad
 
 
-def _sample_vjp_coords(values: np.ndarray, coords: np.ndarray,
-                       upstream: np.ndarray) -> np.ndarray:
-    """Gradient of a trilinear sample w.r.t. the three sample coordinates."""
-    return _sample_vjp_fused(values, values.shape, coords, upstream, False, True)[1]
-
-
-def _sample_vjp_values(shape, coords, upstream: np.ndarray) -> np.ndarray:
-    """Adjoint of trilinear sampling w.r.t. the sampled channel data."""
-    return _sample_vjp_fused(None, shape, coords, upstream, True, False)[0]
-
-
-def _grid_coords(image_dims, stride: int):
-    """Broadcastable control-space coordinates of every image voxel."""
-    nx, ny, nz = image_dims
-    s = float(stride)
-    cx = (np.arange(nx, dtype=np.float64) / s)[:, None, None]
-    cy = (np.arange(ny, dtype=np.float64) / s)[None, :, None]
-    cz = (np.arange(nz, dtype=np.float64) / s)[None, None, :]
-    return cx, cy, cz
+def _grid_plan(image_dims, stride: int, control_dims) -> SamplePlan:
+    """Plan sampling the control grid at every image voxel (broadcast coordinates)."""
+    cx, cy, cz = (np.arange(n, dtype=np.float64) / float(stride) for n in image_dims)
+    return SamplePlan((cx[:, None, None], cy[None, :, None], cz[None, None, :]),
+                      control_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +239,7 @@ def upsample(delta: PreActivationField, image_dims) -> PreActivationField:
         )
     if delta.stride == 1:
         return PreActivationField(delta.values, stride=1)
-    cx, cy, cz = _grid_coords(image_dims, delta.stride)
-    full = _sample_trilinear(delta.values, cx, cy, cz)
+    full = _grid_plan(image_dims, delta.stride, delta.control_dims).gather(delta.values)
     return PreActivationField(full, stride=1)
 
 
@@ -268,8 +280,7 @@ def warp(img: Volume, phi: DeformationField) -> Volume:
     """Backward trilinear warp: out(p) = img(Phi(p)), coordinates clamped."""
     if img.dims != phi.dims:
         raise ValueError(f"image dims {img.dims} != field dims {phi.dims}")
-    out = _sample_trilinear(img.data, phi.values[0], phi.values[1], phi.values[2])
-    return Volume(out, spacing_mm=img.spacing_mm, dtype=img.dtype)
+    return Volume(phi.plan.gather(img.data), spacing_mm=img.spacing_mm, dtype=img.dtype)
 
 
 def warp_labels(l: LabelVolume, phi: DeformationField) -> LabelVolume:
@@ -289,10 +300,7 @@ def compose(outer: DeformationField, inner: DeformationField) -> DeformationFiel
     """Composition (outer o inner)(p) = outer(inner(p)) by trilinear sampling."""
     if outer.dims != inner.dims:
         raise ValueError(f"field dims mismatch: {outer.dims} vs {inner.dims}")
-    vals = _sample_trilinear(
-        outer.values, inner.values[0], inner.values[1], inner.values[2]
-    )
-    return DeformationField(vals)
+    return DeformationField(inner.plan.gather(outer.values))
 
 
 # ---------------------------------------------------------------------------
@@ -371,15 +379,20 @@ def jacobian_det(phi: DeformationField) -> Volume:
     return Volume(det[np.newaxis], dtype="f32")
 
 
-def jacobian_det_vjp(phi: DeformationField, upstream_det: np.ndarray) -> np.ndarray:
-    """Backpropagate a per-voxel determinant gradient to the field coordinates."""
-    d = jacobian_matrix(phi)
+def det_vjp(d: np.ndarray, upstream_det: np.ndarray) -> np.ndarray:
+    """Backpropagate a per-voxel determinant gradient through the Jacobian
+    matrix ``d`` (from ``jacobian_matrix``) to the field coordinates."""
     c = cofactor_matrix(d)
-    grad = np.zeros_like(phi.values)
+    grad = np.zeros(d.shape[1:])
     for a in range(3):
         for b in range(3):
             grad[a] += axis_gradient_adjoint(upstream_det * c[a, b], b)
     return grad
+
+
+def jacobian_det_vjp(phi: DeformationField, upstream_det: np.ndarray) -> np.ndarray:
+    """Backpropagate a per-voxel determinant gradient to the field coordinates."""
+    return det_vjp(jacobian_matrix(phi), upstream_det)
 
 
 # ---------------------------------------------------------------------------
@@ -403,40 +416,26 @@ def vjp_integrate(upstream: np.ndarray) -> np.ndarray:
 
 def vjp_warp(img: Volume, phi: DeformationField, upstream: np.ndarray) -> np.ndarray:
     """Adjoint of warp w.r.t. the deformation coordinates."""
-    return _sample_vjp_coords(img.data, phi.values, upstream)
-
-
-def vjp_warp_image(phi: DeformationField, upstream: np.ndarray) -> np.ndarray:
-    """Adjoint of warp w.r.t. the sampled image data."""
-    return _sample_vjp_values(upstream.shape, phi.values, upstream)
+    return phi.plan.coords_grad(img.data, upstream)
 
 
 def vjp_warp_both(img: Volume, phi: DeformationField,
                   upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoints of warp w.r.t. (image data, deformation coordinates) in one pass."""
-    return _sample_vjp_fused(img.data, img.data.shape, phi.values, upstream,
-                             True, True)
+    """Adjoints of warp w.r.t. (image data, deformation coordinates)."""
+    return phi.plan.scatter(upstream), phi.plan.coords_grad(img.data, upstream)
 
 
 def vjp_compose(outer: DeformationField, inner: DeformationField,
                 upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint of compose w.r.t. (outer, inner) coordinate fields."""
-    return _sample_vjp_fused(outer.values, outer.values.shape, inner.values,
-                             upstream, True, True)
+    return inner.plan.scatter(upstream), inner.plan.coords_grad(outer.values, upstream)
 
 
 def vjp_upsample(upstream: np.ndarray, stride: int, control_dims) -> np.ndarray:
     """Adjoint of upsample: scatter full-resolution gradients to control points."""
     if stride == 1:
         return upstream.copy()
-    image_dims = upstream.shape[1:]
-    cx, cy, cz = _grid_coords(image_dims, stride)
-    coords = (
-        np.broadcast_to(cx, image_dims),
-        np.broadcast_to(cy, image_dims),
-        np.broadcast_to(cz, image_dims),
-    )
-    return _sample_vjp_values((3,) + tuple(control_dims), coords, upstream)
+    return _grid_plan(upstream.shape[1:], stride, control_dims).scatter(upstream)
 
 
 # ---------------------------------------------------------------------------

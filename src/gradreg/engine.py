@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -131,8 +132,12 @@ def init_state(image_dims, config: RegistrationConfig) -> RegistrationState:
 
 @dataclass
 class StepForward:
-    """Everything one refinement step produces, both directions."""
+    """Everything one refinement step produces, both directions.
 
+    ``x`` is the upsampled parameter field, kept for the backward pass.
+    """
+
+    x: PreActivationField
     g_ab: GradientField
     g_ba: GradientField
     phi_ab: DeformationField
@@ -190,7 +195,7 @@ def _run_step(a_cur, b_cur, a_seg_cur, b_seg_cur, a, b, a_seg, b_seg,
         a_next, b, b_next, a, g_ab, g_ba, phi_ab, phi_ba, weights,
         a_seg_warp=a_seg_next, b_seg=b_seg, b_seg_warp=b_seg_next, a_seg=a_seg,
     )
-    return StepForward(g_ab, g_ba, phi_ab, phi_ba, a_next, b_next,
+    return StepForward(x, g_ab, g_ba, phi_ab, phi_ba, a_next, b_next,
                        a_seg_next, b_seg_next, breakdown)
 
 
@@ -217,14 +222,30 @@ def _sum_breakdowns(parts: list[LossBreakdown]) -> LossBreakdown:
     )
 
 
+def _compose_steps(fields: list[DeformationField]) -> DeformationField:
+    """Compose per-step fields, each later step's field as the inner map."""
+    phi = fields[0]
+    for step_phi in fields[1:]:
+        phi = deform.compose(phi, step_phi)
+    return phi
+
+
 @dataclass
 class MultistepForward:
+    """All steps of one forward pass; the composed fields are built on first access."""
+
     steps: list[StepForward]
     breakdown: LossBreakdown
-    phi_ab: DeformationField
-    phi_ba: DeformationField
     a_warp: Volume
     b_warp: Volume
+
+    @cached_property
+    def phi_ab(self) -> DeformationField:
+        return _compose_steps([s.phi_ab for s in self.steps])
+
+    @cached_property
+    def phi_ba(self) -> DeformationField:
+        return _compose_steps([s.phi_ba for s in self.steps])
 
 
 def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
@@ -234,7 +255,8 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
     The loss applies to every step's warped volumes against the original
     targets and the step totals add up.  The exposed fields are the per-step
     compositions: warping once with ``phi_ab`` approximates the sequential
-    per-step warps that produced ``a_warp``.
+    per-step warps that produced ``a_warp``.  They are composed on first
+    access, so a forward pass whose fields are never read skips the composes.
     """
     if not deltas:
         raise ValueError("at least one parameter field is required")
@@ -248,13 +270,8 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
         steps.append(step)
         a_cur, b_cur = step.a_warp, step.b_warp
         a_seg_cur, b_seg_cur = step.a_seg_warp, step.b_seg_warp
-    phi_ab = steps[0].phi_ab
-    phi_ba = steps[0].phi_ba
-    for step in steps[1:]:
-        phi_ab = deform.compose(phi_ab, step.phi_ab)
-        phi_ba = deform.compose(phi_ba, step.phi_ba)
     breakdown = _sum_breakdowns([s.breakdown for s in steps])
-    return MultistepForward(steps, breakdown, phi_ab, phi_ba, a_cur, b_cur)
+    return MultistepForward(steps, breakdown, a_cur, b_cur)
 
 
 def _add_opt(x: np.ndarray | None, y: np.ndarray | None) -> np.ndarray | None:
@@ -310,6 +327,8 @@ def _backward(steps: list[StepForward], a: Volume, b: Volume, a_seg, b_seg,
                                                         up_bseg)
             gphi_ba += coords_grad
 
+        step.phi_ab.drop_plan()  # nothing samples at this step's fields again
+        step.phi_ba.drop_plan()
         gg_ab = deform.vjp_integrate(gphi_ab)
         if "g_ab" in bd:
             gg_ab += bd["g_ab"]
@@ -317,7 +336,7 @@ def _backward(steps: list[StepForward], a: Volume, b: Volume, a_seg, b_seg,
         if "g_ba" in bd:
             gg_ba += bd["g_ba"]
 
-        x_full = deform.upsample(deltas[k], a.dims).values
+        x_full = step.x.values
         gx = deform.vjp_activate(x_full, gg_ab) - deform.vjp_activate(-x_full, gg_ba)
         grads[k] = deform.vjp_upsample(gx, deltas[k].stride, deltas[k].control_dims)
     return grads
@@ -367,6 +386,7 @@ def optimize(a: Volume, b: Volume, config: RegistrationConfig,
                 np.sqrt(v_hat) + config.adam_eps
             )
             state.deltas[k] = PreActivationField(new_values, stride=state.deltas[k].stride)
+        del run, grads  # free this iteration's arrays and plans before the next forward
         if len(state.trace) >= 11:
             ref = state.trace[-11].total
             if abs(state.trace[-1].total - ref) < config.convergence_tol * max(
@@ -378,18 +398,14 @@ def optimize(a: Volume, b: Volume, config: RegistrationConfig,
     if not np.isfinite(final_run.breakdown.total):
         raise DivergenceError("objective became non-finite after the last update",
                               state.trace)
-    return RegistrationResult(
-        phi_ab=final_run.phi_ab,
-        phi_ba=final_run.phi_ba,
-        a_warp=final_run.a_warp,
-        b_warp=final_run.b_warp,
-        steps=final_run.steps,
-        deltas=state.deltas,
-        trace=state.trace,
-        final=final_run.breakdown,
-        iterations_run=state.iteration,
-        converged=converged,
-    )
+    return _result(final_run, state.deltas, state.trace, state.iteration, converged)
+
+
+def _result(run: MultistepForward, deltas, trace, iterations_run: int,
+            converged: bool) -> RegistrationResult:
+    """Assemble a result from a forward pass; composes its exposed fields."""
+    return RegistrationResult(run.phi_ab, run.phi_ba, run.a_warp, run.b_warp, run.steps,
+                              deltas, trace, run.breakdown, iterations_run, converged)
 
 
 def register_pair(a: Volume, b: Volume, config: RegistrationConfig, segs=None,
@@ -409,18 +425,8 @@ def register_pair(a: Volume, b: Volume, config: RegistrationConfig, segs=None,
         return result
     run = multistep_forward(a, b, result.deltas[:inference_steps], config.weights,
                             segs=segs)
-    return RegistrationResult(
-        phi_ab=run.phi_ab,
-        phi_ba=run.phi_ba,
-        a_warp=run.a_warp,
-        b_warp=run.b_warp,
-        steps=run.steps,
-        deltas=result.deltas[:inference_steps],
-        trace=result.trace,
-        final=run.breakdown,
-        iterations_run=result.iterations_run,
-        converged=result.converged,
-    )
+    return _result(run, result.deltas[:inference_steps], result.trace,
+                   result.iterations_run, result.converged)
 
 
 def gradient_check(dims, config: RegistrationConfig, seed: int = 0) -> dict[str, float]:

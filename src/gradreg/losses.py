@@ -128,13 +128,7 @@ def loss_jac(phi_ab: DeformationField, phi_ba: DeformationField):
         matrix = deform.jacobian_matrix(phi)
         det = deform.det3x3(matrix)
         value += float(np.sum(np.maximum(0.0, -det))) / n
-        upstream_det = np.where(det < 0.0, -1.0 / n, 0.0)
-        cof = deform.cofactor_matrix(matrix)
-        grad = np.zeros_like(phi.values)
-        for a in range(3):
-            for b in range(3):
-                grad[a] += deform.axis_gradient_adjoint(upstream_det * cof[a, b], b)
-        grads[key] = grad
+        grads[key] = deform.det_vjp(matrix, np.where(det < 0.0, -1.0 / n, 0.0))
     return value, grads
 
 

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's vectorized code paths: scalar loops
 with explicit stencils for the determinant, all-pairs distances for surface
-metrics, exactly-rounded summation for aggregates.
+metrics, exactly-rounded summation for aggregates.  The trilinear reference
+keeps the direct per-call formulas that the sample plan replaced, so plan
+results can be held bit-equal to them.
 """
 
 import math
@@ -125,3 +127,82 @@ def sdlogj_oracle(phi: DeformationField) -> float:
     mean = math.fsum(logs) / len(logs)
     var = math.fsum((x - mean) ** 2 for x in logs) / len(logs)
     return math.sqrt(var)
+
+
+# ---------------------------------------------------------------------------
+# reference trilinear sampling: corner setup recomputed on every call
+
+
+def _line_setup_ref(coords, size):
+    s = np.clip(coords, 0.0, float(size - 1))
+    i0 = np.floor(s).astype(np.intp)
+    np.clip(i0, 0, max(size - 2, 0), out=i0)
+    return i0, np.minimum(i0 + 1, size - 1), s - i0
+
+
+def sample_trilinear_ref(values, cx, cy, cz):
+    """Gather (C, nx, ny, nz) data at clamped coordinates by fancy indexing."""
+    nx, ny, nz = values.shape[1:]
+    ix0, ix1, fx = _line_setup_ref(cx, nx)
+    iy0, iy1, fy = _line_setup_ref(cy, ny)
+    iz0, iz1, fz = _line_setup_ref(cz, nz)
+    flat = values.reshape(values.shape[0], -1)
+    out = None
+    for ia, wa in ((ix0, 1.0 - fx), (ix1, fx)):
+        for ib, wb in ((iy0, 1.0 - fy), (iy1, fy)):
+            wab = wa * wb
+            base = ia * ny + ib
+            for ic, wc in ((iz0, 1.0 - fz), (iz1, fz)):
+                term = (wab * wc) * flat[:, base * nz + ic]
+                out = term if out is None else out + term
+    return out
+
+
+def sample_vjp_ref(values, shape, coords, upstream):
+    """(values grad, coords grad) of the gather by one 8-corner sweep."""
+    nx, ny, nz = shape[1:]
+    ix0, ix1, fx = _line_setup_ref(coords[0], nx)
+    iy0, iy1, fy = _line_setup_ref(coords[1], ny)
+    iz0, iz1, fz = _line_setup_ref(coords[2], nz)
+    out_shape = upstream.shape[1:]
+    gx, gy, gz = np.zeros(out_shape), np.zeros(out_shape), np.zeros(out_shape)
+    idx_parts, w_parts = [], []
+    for ia, wa, sa in ((ix0, 1.0 - fx, -1.0), (ix1, fx, 1.0)):
+        for ib, wb, sb in ((iy0, 1.0 - fy, -1.0), (iy1, fy, 1.0)):
+            wab = wa * wb
+            base = ia * ny + ib
+            for ic, wc, sc in ((iz0, 1.0 - fz, -1.0), (iz1, fz, 1.0)):
+                idx = base * nz + ic
+                if values is not None:
+                    dotted = (upstream * values.reshape(shape[0], -1)[:, idx]).sum(axis=0)
+                    gx += (sa * (wb * wc)) * dotted
+                    gy += (sb * (wa * wc)) * dotted
+                    gz += (sc * wab) * dotted
+                idx_parts.append(np.broadcast_to(idx, out_shape).ravel())
+                w_parts.append(np.broadcast_to(wab * wc, out_shape).ravel())
+    all_idx = np.concatenate(idx_parts)
+    all_w = np.concatenate(w_parts)
+    values_grad = np.empty(shape)
+    flat_up = upstream.reshape(shape[0], -1)
+    for ch in range(shape[0]):
+        values_grad[ch] = np.bincount(
+            all_idx, weights=all_w * np.tile(flat_up[ch], 8), minlength=nx * ny * nz
+        ).reshape(nx, ny, nz)
+    coords_grad = np.stack((gx, gy, gz))
+    for axis in range(3):
+        coords_grad[axis] *= (coords[axis] >= 0.0) & (coords[axis] <= shape[axis + 1] - 1.0)
+    return values_grad, coords_grad
+
+
+def grid_coords_ref(image_dims, stride):
+    nx, ny, nz = image_dims
+    s = float(stride)
+    return ((np.arange(nx, dtype=np.float64) / s)[:, None, None],
+            (np.arange(ny, dtype=np.float64) / s)[None, :, None],
+            (np.arange(nz, dtype=np.float64) / s)[None, None, :])
+
+
+def vjp_upsample_ref(upstream, stride, control_dims):
+    image_dims = upstream.shape[1:]
+    coords = [np.broadcast_to(c, image_dims) for c in grid_coords_ref(image_dims, stride)]
+    return sample_vjp_ref(None, (3,) + tuple(control_dims), coords, upstream)[0]
