@@ -17,7 +17,6 @@ from .engine import (
     DivergenceError,
     RegistrationConfig,
     RegistrationResult,
-    forward_pass,
     gradient_check,
     multistep_forward,
     objective_and_gradient,

@@ -90,7 +90,6 @@ def _label_union(moving_labels: LabelVolume, fixed_labels: LabelVolume) -> list[
 def _register_one(job: dict) -> str:
     moving = _read_image(job["moving"])
     fixed = _read_image(job["fixed"])
-    config = RegistrationConfig.from_json(job["config_json"])
     out_dir = Path(job["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -107,7 +106,7 @@ def _register_one(job: dict) -> str:
         raise _CliError("give both --moving-labels and --fixed-labels or neither")
 
     try:
-        result = register_pair(moving, fixed, config, segs=segs,
+        result = register_pair(moving, fixed, job["config"], segs=segs,
                                inference_steps=job.get("inference_steps"))
     except DivergenceError as e:
         _write_trace_csv(out_dir / "loss_trace.csv", e.trace)
@@ -150,59 +149,50 @@ def _register_one(job: dict) -> str:
     return summary
 
 
+_PAIR_KEYS = ("moving", "fixed", "moving_labels", "fixed_labels", "out_dir")
+
+
+def _read_manifest(path) -> list[dict]:
+    """Every pair of a batch manifest, each entry checked before any pair runs."""
+    manifest_path = Path(path)
+    if not manifest_path.exists():
+        raise _CliError(f"pairs manifest not found: {manifest_path}")
+    entries = json.loads(manifest_path.read_text())
+    if not isinstance(entries, list) or not entries:
+        raise _CliError("pairs manifest must be a non-empty JSON list")
+    pairs = []
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise _CliError(f"pairs manifest entry {i} must be a JSON object, "
+                            f"got {json.dumps(e)}")
+        missing = [key for key in ("moving", "fixed", "out_dir") if key not in e]
+        if missing:
+            raise _CliError(f"pairs manifest entry {i} lacks {', '.join(missing)}")
+        pair = {key: e.get(key) for key in _PAIR_KEYS}
+        pair["pair_id"] = e.get("pair_id", f"pair{i:03d}")
+        pairs.append(pair)
+    return pairs
+
+
 def _cmd_register(args) -> int:
-    config_path = Path(args.config)
-    if not config_path.exists():
-        raise _CliError(f"config file not found: {config_path}")
-    config_json = config_path.read_text()
-    RegistrationConfig.from_json(config_json)  # validate before spawning work
-
+    config = _load_config(args.config)  # validate before spawning work
     if args.pairs:
-        manifest_path = Path(args.pairs)
-        if not manifest_path.exists():
-            raise _CliError(f"pairs manifest not found: {manifest_path}")
-        entries = json.loads(manifest_path.read_text())
-        if not isinstance(entries, list) or not entries:
-            raise _CliError("pairs manifest must be a non-empty JSON list")
-        jobs = []
-        for i, e in enumerate(entries):
-            jobs.append(
-                {
-                    "pair_id": e.get("pair_id", f"pair{i:03d}"),
-                    "moving": e["moving"],
-                    "fixed": e["fixed"],
-                    "moving_labels": e.get("moving_labels"),
-                    "fixed_labels": e.get("fixed_labels"),
-                    "out_dir": e["out_dir"],
-                    "config_json": config_json,
-                    "inference_steps": args.inference_steps,
-                }
-            )
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                summaries = list(pool.map(_register_one, jobs))
-        else:
-            summaries = [_register_one(job) for job in jobs]
-        if not args.quiet:
-            for line in summaries:
-                print(line)
-        return 0
-
-    if not (args.fixed and args.moving and args.out_dir):
+        pairs = _read_manifest(args.pairs)
+    elif args.fixed and args.moving and args.out_dir:
+        pairs = [{key: getattr(args, key) for key in _PAIR_KEYS}]
+    else:
         raise _CliError("register needs --fixed, --moving and --out-dir (or --pairs)")
-    summary = _register_one(
-        {
-            "moving": args.moving,
-            "fixed": args.fixed,
-            "moving_labels": args.moving_labels,
-            "fixed_labels": args.fixed_labels,
-            "out_dir": args.out_dir,
-            "config_json": config_json,
-            "inference_steps": args.inference_steps,
-        }
-    )
+    jobs = [dict(pair, config=config, inference_steps=args.inference_steps)
+            for pair in pairs]
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            summaries = list(pool.map(_register_one, jobs))
+    else:
+        summaries = [_register_one(job) for job in jobs]
     if not args.quiet:
-        print(summary)
+        for line in summaries:
+            print(line)
     return 0
 
 
@@ -310,7 +300,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker processes for batch registration (default 1)")
     parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress and summary output")
+                        help="suppress summary output")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("register", help="optimize a deformation for a volume pair")

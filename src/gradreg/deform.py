@@ -349,28 +349,16 @@ def jacobian_matrix(phi: DeformationField) -> np.ndarray:
     return d
 
 
+def _cofactor(d: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Cofactor C[a, b] = d det / d d[a, b] of per-voxel 3x3 matrices, indices mod 3."""
+    a1, a2, b1, b2 = (a + 1) % 3, (a + 2) % 3, (b + 1) % 3, (b + 2) % 3
+    return d[a1, b1] * d[a2, b2] - d[a1, b2] * d[a2, b1]
+
+
 def det3x3(d: np.ndarray) -> np.ndarray:
     """First-row cofactor expansion of per-voxel 3x3 matrices."""
-    return (
-        d[0, 0] * (d[1, 1] * d[2, 2] - d[1, 2] * d[2, 1])
-        - d[0, 1] * (d[1, 0] * d[2, 2] - d[1, 2] * d[2, 0])
-        + d[0, 2] * (d[1, 0] * d[2, 1] - d[1, 1] * d[2, 0])
-    )
-
-
-def cofactor_matrix(d: np.ndarray) -> np.ndarray:
-    """Cofactor matrix C with d det / d d[a, b] = C[a, b]."""
-    c = np.empty_like(d)
-    c[0, 0] = d[1, 1] * d[2, 2] - d[1, 2] * d[2, 1]
-    c[0, 1] = -(d[1, 0] * d[2, 2] - d[1, 2] * d[2, 0])
-    c[0, 2] = d[1, 0] * d[2, 1] - d[1, 1] * d[2, 0]
-    c[1, 0] = -(d[0, 1] * d[2, 2] - d[0, 2] * d[2, 1])
-    c[1, 1] = d[0, 0] * d[2, 2] - d[0, 2] * d[2, 0]
-    c[1, 2] = -(d[0, 0] * d[2, 1] - d[0, 1] * d[2, 0])
-    c[2, 0] = d[0, 1] * d[1, 2] - d[0, 2] * d[1, 1]
-    c[2, 1] = -(d[0, 0] * d[1, 2] - d[0, 2] * d[1, 0])
-    c[2, 2] = d[0, 0] * d[1, 1] - d[0, 1] * d[1, 0]
-    return c
+    return (d[0, 0] * _cofactor(d, 0, 0) + d[0, 1] * _cofactor(d, 0, 1)
+            + d[0, 2] * _cofactor(d, 0, 2))
 
 
 def jacobian_det(phi: DeformationField) -> Volume:
@@ -382,17 +370,11 @@ def jacobian_det(phi: DeformationField) -> Volume:
 def det_vjp(d: np.ndarray, upstream_det: np.ndarray) -> np.ndarray:
     """Backpropagate a per-voxel determinant gradient through the Jacobian
     matrix ``d`` (from ``jacobian_matrix``) to the field coordinates."""
-    c = cofactor_matrix(d)
     grad = np.zeros(d.shape[1:])
     for a in range(3):
         for b in range(3):
-            grad[a] += axis_gradient_adjoint(upstream_det * c[a, b], b)
+            grad[a] += axis_gradient_adjoint(upstream_det * _cofactor(d, a, b), b)
     return grad
-
-
-def jacobian_det_vjp(phi: DeformationField, upstream_det: np.ndarray) -> np.ndarray:
-    """Backpropagate a per-voxel determinant gradient to the field coordinates."""
-    return det_vjp(jacobian_matrix(phi), upstream_det)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ double precision and is bit-deterministic for fixed inputs and config.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -36,16 +36,17 @@ class DivergenceError(RuntimeError):
         self.trace = trace
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 @dataclass(frozen=True)
 class RegistrationConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     steps: int = 2
     iterations: int = 500
     learning_rate: float = 1e-2
-    adam_betas: tuple[float, float] = (0.9, 0.999)
-    adam_eps: float = 1e-8
     control_stride: int = 4
-    seed: int = 0
     convergence_tol: float = 1e-6
 
     def __post_init__(self):
@@ -58,50 +59,32 @@ class RegistrationConfig:
         if self.control_stride < 1:
             raise ValueError(f"control stride must be >= 1, got {self.control_stride}")
 
+    def _flat(self) -> dict:
+        """The weights' fields, then every other field, as one flat mapping."""
+        flat = {f.name: getattr(self.weights, f.name) for f in fields(LossWeights)}
+        flat.update((f.name, getattr(self, f.name)) for f in fields(self)
+                    if f.name != "weights")
+        return flat
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "alpha": self.weights.alpha,
-                "beta": self.weights.beta,
-                "gamma": self.weights.gamma,
-                "delta": self.weights.delta,
-                "epsilon": self.weights.epsilon,
-                "steps": self.steps,
-                "iterations": self.iterations,
-                "learning_rate": self.learning_rate,
-                "control_stride": self.control_stride,
-                "seed": self.seed,
-                "convergence_tol": self.convergence_tol,
-            }
-        )
+        return json.dumps(self._flat())
 
     @classmethod
     def from_json(cls, text: str) -> "RegistrationConfig":
+        """Parse a flat JSON object; omitted keys take the defaults.
+
+        ``seed`` is accepted and ignored: initialization is all zeros.
+        """
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
-        defaults = cls()
-        known = {"alpha", "beta", "gamma", "delta", "epsilon", "steps", "iterations",
-                 "learning_rate", "control_stride", "seed", "convergence_tol"}
-        unknown = set(raw) - known
+        defaults = cls()._flat()
+        unknown = set(raw) - set(defaults) - {"seed"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        weights = LossWeights(
-            alpha=float(raw.get("alpha", defaults.weights.alpha)),
-            beta=float(raw.get("beta", defaults.weights.beta)),
-            gamma=float(raw.get("gamma", defaults.weights.gamma)),
-            delta=float(raw.get("delta", defaults.weights.delta)),
-            epsilon=float(raw.get("epsilon", defaults.weights.epsilon)),
-        )
-        return cls(
-            weights=weights,
-            steps=int(raw.get("steps", defaults.steps)),
-            iterations=int(raw.get("iterations", defaults.iterations)),
-            learning_rate=float(raw.get("learning_rate", defaults.learning_rate)),
-            control_stride=int(raw.get("control_stride", defaults.control_stride)),
-            seed=int(raw.get("seed", defaults.seed)),
-            convergence_tol=float(raw.get("convergence_tol", defaults.convergence_tol)),
-        )
+        values = {key: type(d)(raw.get(key, d)) for key, d in defaults.items()}
+        weights = LossWeights(**{f.name: values.pop(f.name) for f in fields(LossWeights)})
+        return cls(weights=weights, **values)
 
 
 @dataclass
@@ -180,52 +163,15 @@ def _check_pair(a: Volume, b: Volume, segs) -> None:
             )
 
 
-def _run_step(a_cur, b_cur, a_seg_cur, b_seg_cur, a, b, a_seg, b_seg,
-              delta: PreActivationField, weights: LossWeights) -> StepForward:
-    x = deform.upsample(delta, a.dims)
-    g_ab = deform.activate(x)
-    g_ba = deform.activate(PreActivationField(-x.values, stride=1))
-    phi_ab = deform.integrate(g_ab)
-    phi_ba = deform.integrate(g_ba)
-    a_next = deform.warp(a_cur, phi_ab)
-    b_next = deform.warp(b_cur, phi_ba)
-    a_seg_next = deform.warp(a_seg_cur, phi_ab) if a_seg_cur is not None else None
-    b_seg_next = deform.warp(b_seg_cur, phi_ba) if b_seg_cur is not None else None
-    breakdown = loss_total(
-        a_next, b, b_next, a, g_ab, g_ba, phi_ab, phi_ba, weights,
-        a_seg_warp=a_seg_next, b_seg=b_seg, b_seg_warp=b_seg_next, a_seg=a_seg,
-    )
-    return StepForward(x, g_ab, g_ba, phi_ab, phi_ba, a_next, b_next,
-                       a_seg_next, b_seg_next, breakdown)
-
-
-def forward_pass(a: Volume, b: Volume, delta: PreActivationField,
-                 weights: LossWeights, segs=None) -> StepForward:
-    """One registration step from the original volumes.
-
-    The A-to-B direction is generated from +delta, the B-to-A direction from
-    -delta, so ``forward_pass(b, a, -delta)`` yields the exact mirror.
-    """
-    _check_pair(a, b, segs)
-    a_seg, b_seg = segs if segs is not None else (None, None)
-    return _run_step(a, b, a_seg, b_seg, a, b, a_seg, b_seg, delta, weights)
-
-
 def _sum_breakdowns(parts: list[LossBreakdown]) -> LossBreakdown:
-    return LossBreakdown(
-        sim=sum(p.sim for p in parts),
-        seg=sum(p.seg for p in parts),
-        reg=sum(p.reg for p in parts),
-        jac=sum(p.jac for p in parts),
-        inv=sum(p.inv for p in parts),
-        total=sum(p.total for p in parts),
-    )
+    terms = [p.to_dict() for p in parts]
+    return LossBreakdown(**{key: sum(t[key] for t in terms) for key in terms[0]})
 
 
-def _compose_steps(fields: list[DeformationField]) -> DeformationField:
+def _compose_steps(phis: list[DeformationField]) -> DeformationField:
     """Compose per-step fields, each later step's field as the inner map."""
-    phi = fields[0]
-    for step_phi in fields[1:]:
+    phi = phis[0]
+    for step_phi in phis[1:]:
         phi = deform.compose(phi, step_phi)
     return phi
 
@@ -252,11 +198,14 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
                       weights: LossWeights, segs=None) -> MultistepForward:
     """Run every refinement step; each re-warps the previous step's output.
 
-    The loss applies to every step's warped volumes against the original
-    targets and the step totals add up.  The exposed fields are the per-step
-    compositions: warping once with ``phi_ab`` approximates the sequential
-    per-step warps that produced ``a_warp``.  They are composed on first
-    access, so a forward pass whose fields are never read skips the composes.
+    Each step generates the A-to-B direction from +delta and the B-to-A
+    direction from -delta, so swapping the inputs and negating the deltas
+    yields the exact mirror.  The loss applies to every step's warped volumes
+    against the original targets and the step totals add up.  The exposed
+    fields are the per-step compositions: warping once with ``phi_ab``
+    approximates the sequential per-step warps that produced ``a_warp``.  They
+    are composed on first access, so a forward pass whose fields are never
+    read skips the composes; with one step they are that step's fields.
     """
     if not deltas:
         raise ValueError("at least one parameter field is required")
@@ -265,74 +214,66 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
     steps: list[StepForward] = []
     a_cur, b_cur, a_seg_cur, b_seg_cur = a, b, a_seg, b_seg
     for delta in deltas:
-        step = _run_step(a_cur, b_cur, a_seg_cur, b_seg_cur, a, b, a_seg, b_seg,
-                         delta, weights)
-        steps.append(step)
-        a_cur, b_cur = step.a_warp, step.b_warp
-        a_seg_cur, b_seg_cur = step.a_seg_warp, step.b_seg_warp
+        x = deform.upsample(delta, a.dims)
+        g_ab = deform.activate(x)
+        g_ba = deform.activate(PreActivationField(-x.values, stride=1))
+        phi_ab = deform.integrate(g_ab)
+        phi_ba = deform.integrate(g_ba)
+        a_cur = deform.warp(a_cur, phi_ab)
+        b_cur = deform.warp(b_cur, phi_ba)
+        if segs is not None:
+            a_seg_cur = deform.warp(a_seg_cur, phi_ab)
+            b_seg_cur = deform.warp(b_seg_cur, phi_ba)
+        breakdown = loss_total(
+            a_cur, b, b_cur, a, g_ab, g_ba, phi_ab, phi_ba, weights,
+            a_seg_warp=a_seg_cur, b_seg=b_seg, b_seg_warp=b_seg_cur, a_seg=a_seg,
+        )
+        steps.append(StepForward(x, g_ab, g_ba, phi_ab, phi_ba, a_cur, b_cur,
+                                 a_seg_cur, b_seg_cur, breakdown))
     breakdown = _sum_breakdowns([s.breakdown for s in steps])
     return MultistepForward(steps, breakdown, a_cur, b_cur)
 
 
-def _add_opt(x: np.ndarray | None, y: np.ndarray | None) -> np.ndarray | None:
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return x + y
+# Each warped input of a step by its breakdown gradient name, with the field
+# that warps it; per field the image comes before the segmentation.
+_WARPS = (("a_warp", "phi_ab"), ("a_seg_warp", "phi_ab"),
+          ("b_warp", "phi_ba"), ("b_seg_warp", "phi_ba"))
 
 
-def _backward(steps: list[StepForward], a: Volume, b: Volume, a_seg, b_seg,
+def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
               deltas: list[PreActivationField]) -> list[np.ndarray]:
     """Reverse-mode chain through every step, back to each parameter field."""
-    carry_a = carry_b = carry_aseg = carry_bseg = None
+    a_seg, b_seg = segs if segs is not None else (None, None)
+    inputs = {"a_warp": a, "a_seg_warp": a_seg, "b_warp": b, "b_seg_warp": b_seg}
+    carry: dict[str, np.ndarray] = {}
     grads: list[np.ndarray | None] = [None] * len(steps)
     for k in range(len(steps) - 1, -1, -1):
         step = steps[k]
         bd = step.breakdown.grads
-        a_prev = steps[k - 1].a_warp if k > 0 else a
-        b_prev = steps[k - 1].b_warp if k > 0 else b
-        a_seg_prev = (steps[k - 1].a_seg_warp if k > 0 else a_seg)
-        b_seg_prev = (steps[k - 1].b_seg_warp if k > 0 else b_seg)
-
-        up_a = _add_opt(bd.get("a_warp"), carry_a)
-        up_b = _add_opt(bd.get("b_warp"), carry_b)
-        up_aseg = _add_opt(bd.get("a_seg_warp"), carry_aseg)
-        up_bseg = _add_opt(bd.get("b_seg_warp"), carry_bseg)
-
-        gphi_ab = bd.get("phi_ab")
-        gphi_ab = np.zeros_like(step.phi_ab.values) if gphi_ab is None else gphi_ab.copy()
-        gphi_ba = bd.get("phi_ba")
-        gphi_ba = np.zeros_like(step.phi_ba.values) if gphi_ba is None else gphi_ba.copy()
-
-        def back_through_warp(img, phi, up):
+        upstream = {key: bd[key] for key, _ in _WARPS if key in bd}
+        for key, g in carry.items():
+            upstream[key] = upstream[key] + g if key in upstream else g
+        gphi = {key: bd[key].copy() if key in bd else np.zeros_like(getattr(step, key).values)
+                for key in ("phi_ab", "phi_ba")}
+        carry = {}
+        for key, phi_key in _WARPS:
+            if key not in upstream:
+                continue
+            phi = getattr(step, phi_key)
             # the image-side gradient only matters if an earlier step feeds it
             if k > 0:
-                return deform.vjp_warp_both(img, phi, up)
-            return None, deform.vjp_warp(img, phi, up)
-
-        carry_a = carry_aseg = carry_b = carry_bseg = None
-        if up_a is not None:
-            carry_a, coords_grad = back_through_warp(a_prev, step.phi_ab, up_a)
-            gphi_ab += coords_grad
-        if up_aseg is not None:
-            carry_aseg, coords_grad = back_through_warp(a_seg_prev, step.phi_ab,
-                                                        up_aseg)
-            gphi_ab += coords_grad
-        if up_b is not None:
-            carry_b, coords_grad = back_through_warp(b_prev, step.phi_ba, up_b)
-            gphi_ba += coords_grad
-        if up_bseg is not None:
-            carry_bseg, coords_grad = back_through_warp(b_seg_prev, step.phi_ba,
-                                                        up_bseg)
-            gphi_ba += coords_grad
+                carry[key], coords_grad = deform.vjp_warp_both(
+                    getattr(steps[k - 1], key), phi, upstream[key])
+            else:
+                coords_grad = deform.vjp_warp(inputs[key], phi, upstream[key])
+            gphi[phi_key] += coords_grad
 
         step.phi_ab.drop_plan()  # nothing samples at this step's fields again
         step.phi_ba.drop_plan()
-        gg_ab = deform.vjp_integrate(gphi_ab)
+        gg_ab = deform.vjp_integrate(gphi["phi_ab"])
         if "g_ab" in bd:
             gg_ab += bd["g_ab"]
-        gg_ba = deform.vjp_integrate(gphi_ba)
+        gg_ba = deform.vjp_integrate(gphi["phi_ba"])
         if "g_ba" in bd:
             gg_ba += bd["g_ba"]
 
@@ -348,8 +289,7 @@ def objective_and_gradient(a: Volume, b: Volume,
     """Total multistep loss and its exact gradient w.r.t. every delta field."""
     deltas = state.deltas if isinstance(state, RegistrationState) else list(state)
     run = multistep_forward(a, b, deltas, config.weights, segs=segs)
-    a_seg, b_seg = segs if segs is not None else (None, None)
-    grads = _backward(run.steps, a, b, a_seg, b_seg, deltas)
+    grads = _backward(run.steps, a, b, segs, deltas)
     return run.breakdown.total, grads
 
 
@@ -361,10 +301,8 @@ def optimize(a: Volume, b: Volume, config: RegistrationConfig,
     the total loss over a 10-iteration window drops below the convergence
     tolerance.  Bit-reproducible for identical inputs and config.
     """
-    _check_pair(a, b, segs)
-    a_seg, b_seg = segs if segs is not None else (None, None)
     state = init_state(a.dims, config)
-    beta1, beta2 = config.adam_betas
+    beta1, beta2 = ADAM_BETAS
     converged = False
     for _ in range(config.iterations):
         run = multistep_forward(a, b, state.deltas, config.weights, segs=segs)
@@ -374,7 +312,7 @@ def optimize(a: Volume, b: Volume, config: RegistrationConfig,
                 f"objective became non-finite at iteration {state.iteration}",
                 state.trace,
             )
-        grads = _backward(run.steps, a, b, a_seg, b_seg, state.deltas)
+        grads = _backward(run.steps, a, b, segs, state.deltas)
         state.iteration += 1
         t = state.iteration
         for k, g in enumerate(grads):
@@ -383,7 +321,7 @@ def optimize(a: Volume, b: Volume, config: RegistrationConfig,
             m_hat = state.m[k] / (1.0 - beta1**t)
             v_hat = state.v[k] / (1.0 - beta2**t)
             new_values = state.deltas[k].values - config.learning_rate * m_hat / (
-                np.sqrt(v_hat) + config.adam_eps
+                np.sqrt(v_hat) + ADAM_EPS
             )
             state.deltas[k] = PreActivationField(new_values, stride=state.deltas[k].stride)
         del run, grads  # free this iteration's arrays and plans before the next forward

@@ -24,8 +24,8 @@ from gradreg.deform import (
 )
 from gradreg.engine import (
     RegistrationConfig,
-    forward_pass,
     gradient_check,
+    multistep_forward,
     register_pair,
 )
 from gradreg.losses import LossWeights, loss_inv, loss_jac, loss_total
@@ -119,8 +119,8 @@ def test_criterion_2_identity_axioms():
     labels = LabelVolume(rng.integers(0, 3, dims))
     seg = one_hot(labels, [1, 2])
 
-    step = forward_pass(a, a, PreActivationField(np.zeros((3,) + dims)),
-                        REFERENCE_WEIGHTS, segs=(seg, seg))
+    step = multistep_forward(a, a, [PreActivationField(np.zeros((3,) + dims))],
+                             REFERENCE_WEIGHTS, segs=(seg, seg))
     ident = identity_field(dims)
     assert np.array_equal(step.phi_ab.values, ident.values)
     assert np.array_equal(step.phi_ba.values, ident.values)
@@ -151,9 +151,9 @@ def test_criterion_3_symmetry_axiom():
             swapped = (segs[1], segs[0])
         else:
             segs = swapped = None
-        fwd = forward_pass(a, b, delta, REFERENCE_WEIGHTS, segs=segs)
-        rev = forward_pass(b, a, PreActivationField(-delta.values), REFERENCE_WEIGHTS,
-                           segs=swapped)
+        fwd = multistep_forward(a, b, [delta], REFERENCE_WEIGHTS, segs=segs)
+        rev = multistep_forward(b, a, [PreActivationField(-delta.values)],
+                                REFERENCE_WEIGHTS, segs=swapped)
         for term in ("sim", "seg", "reg", "jac", "inv", "total"):
             assert getattr(fwd.breakdown, term) == getattr(rev.breakdown, term)
         assert np.array_equal(fwd.phi_ab.values, rev.phi_ba.values)

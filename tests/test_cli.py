@@ -266,6 +266,25 @@ def test_register_batch_jobs_bit_identical(workdir):
             assert one == four, f"{name} differs between --jobs 1 and 4"
 
 
+def batch_entry(workdir, name):
+    return {"fixed": str(workdir / "img"), "moving": str(workdir / "img"),
+            "out_dir": str(workdir / name)}
+
+
+@pytest.mark.parametrize("bad_entry, message", [
+    ([1], "entry 1 must be a JSON object"),
+    ({"fixed": "img", "out_dir": "never"}, "entry 1 lacks moving"),
+])
+def test_register_batch_bad_entry_exit_1_before_any_pair(workdir, capsys, bad_entry,
+                                                          message):
+    manifest = [batch_entry(workdir, "first"), bad_entry]
+    (workdir / "pairs.json").write_text(json.dumps(manifest))
+    assert run("register", "--pairs", workdir / "pairs.json",
+               "--config", workdir / "config.json") == 1
+    assert message in capsys.readouterr().err
+    assert not (workdir / "first").exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

@@ -1,11 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
 from gradreg import deform
 from gradreg.deform import PreActivationField, identity_field
 from gradreg.engine import (
+    ADAM_BETAS,
+    ADAM_EPS,
     RegistrationConfig,
-    forward_pass,
     gradient_check,
     init_state,
     multistep_forward,
@@ -46,7 +49,7 @@ def zero_delta(dims=DIMS, stride=1):
 def test_forward_zero_delta_identical_volumes():
     rng = np.random.default_rng(0)
     a, _ = random_pair(rng)
-    step = forward_pass(a, a, zero_delta(), WEIGHTS)
+    step = multistep_forward(a, a, [zero_delta()], WEIGHTS)
     ident = identity_field(DIMS).values
     assert np.array_equal(step.phi_ab.values, ident)
     assert np.array_equal(step.phi_ba.values, ident)
@@ -58,7 +61,7 @@ def test_forward_zero_delta_identical_volumes():
 def test_forward_zero_delta_different_volumes():
     rng = np.random.default_rng(1)
     a, b = random_pair(rng)
-    step = forward_pass(a, b, zero_delta(), WEIGHTS)
+    step = multistep_forward(a, b, [zero_delta()], WEIGHTS)
     expect = 2.0 * float(np.mean((a.data - b.data) ** 2))
     assert step.breakdown.sim == pytest.approx(expect, rel=1e-12)
     assert np.array_equal(step.a_warp.data, a.data)
@@ -71,9 +74,9 @@ def test_forward_direction_antisymmetry_bit_exact():
         a, b = random_pair(rng)
         segs = random_segs(rng)
         delta = PreActivationField(rng.normal(0, 1.0, (3,) + DIMS))
-        fwd = forward_pass(a, b, delta, WEIGHTS, segs=segs)
+        fwd = multistep_forward(a, b, [delta], WEIGHTS, segs=segs)
         neg = PreActivationField(-delta.values)
-        rev = forward_pass(b, a, neg, WEIGHTS, segs=(segs[1], segs[0]))
+        rev = multistep_forward(b, a, [neg], WEIGHTS, segs=(segs[1], segs[0]))
         for term in ("sim", "seg", "reg", "jac", "inv", "total"):
             assert getattr(fwd.breakdown, term) == getattr(rev.breakdown, term)
         assert np.array_equal(fwd.phi_ab.values, rev.phi_ba.values)
@@ -87,22 +90,11 @@ def test_forward_shape_mismatch():
     a = Volume(rng.uniform(0, 1, (1, 6, 6, 6)))
     b = Volume(rng.uniform(0, 1, (1, 5, 6, 6)))
     with pytest.raises(ValueError, match="dims"):
-        forward_pass(a, b, zero_delta(), WEIGHTS)
+        multistep_forward(a, b, [zero_delta()], WEIGHTS)
 
 
 # ---------------------------------------------------------------------------
 # multistep
-
-
-def test_multistep_single_step_equals_forward_pass():
-    rng = np.random.default_rng(4)
-    a, b = random_pair(rng)
-    delta = PreActivationField(rng.normal(0, 0.5, (3,) + DIMS))
-    single = forward_pass(a, b, delta, WEIGHTS)
-    multi = multistep_forward(a, b, [delta], WEIGHTS)
-    assert multi.breakdown.total == single.breakdown.total
-    assert np.array_equal(multi.phi_ab.values, single.phi_ab.values)
-    assert np.array_equal(multi.a_warp.data, single.a_warp.data)
 
 
 def test_multistep_zero_deltas_warps_equal_inputs():
@@ -325,10 +317,19 @@ def test_register_pair_inference_steps():
 def test_config_json_round_trip():
     config = RegistrationConfig(
         weights=LossWeights(1, 1, 0.1, 0.01, 10), steps=2, iterations=77,
-        learning_rate=0.02, control_stride=3, seed=5, convergence_tol=1e-7,
+        learning_rate=0.02, control_stride=3, convergence_tol=1e-7,
     )
     back = RegistrationConfig.from_json(config.to_json())
     assert back == config
+    assert set(json.loads(config.to_json())) == {
+        "alpha", "beta", "gamma", "delta", "epsilon", "steps", "iterations",
+        "learning_rate", "control_stride", "convergence_tol",
+    }
+
+
+def test_config_ignores_legacy_seed_key():
+    config = RegistrationConfig.from_json('{"steps": 3, "seed": 0}')
+    assert config == RegistrationConfig(steps=3)
 
 
 def test_config_rejects_unknown_keys():
@@ -340,5 +341,5 @@ def test_config_defaults_match_chosen_setup():
     config = RegistrationConfig()
     assert config.weights == LossWeights(1.0, 1.0, 0.1, 0.01, 10.0)
     assert config.steps == 2
-    assert config.adam_betas == (0.9, 0.999)
-    assert config.adam_eps == 1e-8
+    assert ADAM_BETAS == (0.9, 0.999)
+    assert ADAM_EPS == 1e-8
