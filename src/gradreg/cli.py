@@ -36,6 +36,19 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(f"{self.prog}: error: {message}")
 
 
+# Failures reported as an exit code and a message rather than a traceback.
+_REPORTED = (_CliError, DivergenceError, ValueError, KeyError, OSError)
+
+
+def _failure(e: Exception) -> tuple[int, str]:
+    """Exit code and message for one of the ``_REPORTED`` failures."""
+    if isinstance(e, _CliError):
+        return 1, str(e)
+    if isinstance(e, DivergenceError):
+        return 2, f"numerical failure: {e}"
+    return 1, f"error: {e}"
+
+
 def _fmt(x: float) -> str:
     return f"{float(x):.6g}"
 
@@ -85,6 +98,10 @@ def _label_union(moving_labels: LabelVolume, fixed_labels: LabelVolume) -> list[
     ids |= set(np.unique(fixed_labels.labels).tolist())
     ids.discard(0)
     return sorted(ids)
+
+
+def _pair_name(job: dict) -> str:
+    return job.get("pair_id", Path(job["out_dir"]).name)
 
 
 def _register_one(job: dict) -> str:
@@ -138,7 +155,7 @@ def _register_one(job: dict) -> str:
         write_metrics_csv(out_dir / "metrics.csv", rows)
 
     summary = (
-        f"{job.get('pair_id', out_dir.name)}: iterations={result.iterations_run} "
+        f"{_pair_name(job)}: iterations={result.iterations_run} "
         f"total={_fmt(result.final.total)}"
     )
     if rows and rows[-1][1].mean_dice is not None:
@@ -147,6 +164,15 @@ def _register_one(job: dict) -> str:
             summary += f" dice {_fmt(before)} -> {_fmt(rows[-1][1].mean_dice)}"
     summary += f" sdlogj={_fmt(rows[-1][1].sdlogj)}"
     return summary
+
+
+def _run_pair(job: dict) -> tuple[int, str]:
+    """Exit code and summary line of one pair; a failed pair's line names its error."""
+    try:
+        return 0, _register_one(job)
+    except _REPORTED as e:
+        code, message = _failure(e)
+        return code, f"{_pair_name(job)}: {message}"
 
 
 _PAIR_KEYS = ("moving", "fixed", "moving_labels", "fixed_labels", "out_dir")
@@ -187,13 +213,15 @@ def _cmd_register(args) -> int:
     workers = min(args.jobs, len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_register_one, jobs))
+            results = list(pool.map(_run_pair, jobs))
     else:
-        summaries = [_register_one(job) for job in jobs]
-    if not args.quiet:
-        for line in summaries:
+        results = [_run_pair(job) for job in jobs]
+    for code, line in results:
+        if code:
+            print(line, file=sys.stderr)
+        elif not args.quiet:
             print(line)
-    return 0
+    return max(code for code, _ in results)
 
 
 # ---------------------------------------------------------------------------
@@ -360,15 +388,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as e:
-        print(str(e), file=sys.stderr)
-        return 1
-    except (FileNotFoundError, ValueError, KeyError, OSError, json.JSONDecodeError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except DivergenceError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 2
+    except _REPORTED as e:
+        code, message = _failure(e)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -11,14 +11,16 @@ Every differentiable stage has an exact vector-Jacobian product (``vjp_*``)
 used by the optimizer; the adjoints treat clamped sample coordinates as
 constant (zero gradient).
 
-All trilinear sampling runs through one kernel, ``SamplePlan``: flat corner
-indices (8, N) int32, corner weights (8, N) f64, fractional offsets (3, N) f64
-and the inside-mask (3, N) bool, 123 bytes per sample.  A ``DeformationField``
-builds its plan when first sampled at and keeps it for its lifetime, so every
-warp, composition and adjoint at that field shares it; ``values`` must not
-change afterwards.  To stay bit-identical to direct sampling, a gather returns
-a channel-interleaved (C, nx, ny, nz) array that owns its buffer, and a
-scatter makes one corner-major ``bincount`` per channel over all eight corners.
+All trilinear sampling runs through one kernel, ``SamplePlan``: the flat
+index of each sample's lowest corner (N,) intp, the eight constant flat corner
+offsets, corner weights (8, N) f64, fractional offsets (3, N) f64 and the
+inside-mask (3, N) bool, 99 bytes per sample.  Every pass runs over one
+contiguous (N,) channel plane at a time.  A ``DeformationField`` builds its
+plan when first sampled at and keeps it for its lifetime, so every warp,
+composition and adjoint at that field shares it; ``values`` must not change
+afterwards.  Only to stay bit-identical to direct sampling, a gather returns a
+channel-interleaved (C, nx, ny, nz) array that owns its buffer, and a scatter
+makes one corner-major ``bincount`` per channel over all eight corners.
 """
 
 from __future__ import annotations
@@ -122,58 +124,67 @@ def control_dims_for(image_dims, stride: int) -> tuple[int, int, int]:
 # trilinear sampling core
 
 
-def _channel_last(values: np.ndarray) -> np.ndarray:
-    """(C, nx, ny, nz) channel data as (nx*ny*nz, C) rows; a view when interleaved."""
-    return np.moveaxis(values, 0, -1).reshape(-1, values.shape[0])
-
-
 class SamplePlan:
     """Trilinear samples at three broadcastable coordinate arrays into a grid of
-    ``dims``, each clamped to [0, n-1]; corners are ordered x-major, z-minor."""
+    ``dims``, each clamped to [0, n-1]; corners are ordered x-major, z-minor.
+
+    Corner k of a sample sits at ``base + offsets[k]`` in a flat channel plane.
+    An axis with one voxel has offset 0, so its upper corner repeats the lower.
+    """
 
     def __init__(self, coords, dims):
         self.dims = nx, ny, nz = tuple(int(n) for n in dims)
         self.shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-        index_type = np.int32 if nx * ny * nz < 2**31 else np.intp
-        lines = []
+        lows, fracs = [], []
         for c, n in zip(coords, self.dims):
             s = np.clip(c, 0.0, float(n - 1))
-            i0 = np.floor(s).astype(index_type)
+            i0 = np.floor(s).astype(np.intp)
             np.clip(i0, 0, max(n - 2, 0), out=i0)
-            lines.append((i0, np.minimum(i0 + 1, n - 1), s - i0))
-        (ix0, ix1, fx), (iy0, iy1, fy), (iz0, iz1, fz) = lines
-        self.frac = (fx, fy, fz)
+            lows.append(i0)
+            fracs.append(s - i0)
+        ix, iy, iz = lows
+        base = np.empty(self.shape, dtype=np.intp)
+        np.add((ix * ny + iy) * nz, iz, out=base)
+        self.base = base.ravel()
+        sx, sy, sz = (step if n > 1 else 0 for step, n in zip((ny * nz, nz, 1), self.dims))
+        self.offsets = tuple(a * sx + b * sy + c * sz
+                             for a in (0, 1) for b in (0, 1) for c in (0, 1))
+        fx, fy, fz = self.frac = tuple(fracs)
         self.inside = tuple((c >= 0.0) & (c <= n - 1.0) for c, n in zip(coords, self.dims))
-        index = np.empty((8,) + self.shape, dtype=index_type)
         weight = np.empty((8,) + self.shape)
         k = 0
-        for ia, wa in ((ix0, 1.0 - fx), (ix1, fx)):
-            for ib, wb in ((iy0, 1.0 - fy), (iy1, fy)):
+        for wa in (1.0 - fx, fx):
+            for wb in (1.0 - fy, fy):
                 wab = wa * wb
-                base = ia * ny + ib
-                for ic, wc in ((iz0, 1.0 - fz), (iz1, fz)):
-                    np.add(base * nz, ic, out=index[k])
+                for wc in (1.0 - fz, fz):
                     np.multiply(wab, wc, out=weight[k])
                     k += 1
-        self.index = index.reshape(8, -1)
         self.weight = weight.reshape(8, -1)
+
+    def _take(self, plane: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
+        """Corner k of every sample from one flat, contiguous channel plane."""
+        return np.take(plane[self.offsets[k]:], self.base, out=out, mode="clip")
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Sample (C, *dims) channel data; returns (C, *shape), channel-interleaved.
 
-        The result owns its buffer: numpy then reuses it for ``gather(...) - x``,
-        whose layout sets the summation order of later reductions.
+        Each channel is accumulated as one contiguous plane.  The result is
+        interleaved and owns its buffer only to stay bit-identical to direct
+        sampling: numpy reuses it for ``gather(...) - x``, whose layout sets the
+        summation order of later reductions.
         """
-        rows = _channel_last(values)
-        result = np.empty_like(np.moveaxis(np.empty(self.shape + rows.shape[1:]), -1, 0))
-        out = _channel_last(result)
-        np.take(rows, self.index[0], axis=0, out=out, mode="clip")
-        out *= self.weight[0][:, None]
-        corner = np.empty_like(out)
-        for k in range(1, 8):
-            np.take(rows, self.index[k], axis=0, out=corner, mode="clip")
-            corner *= self.weight[k][:, None]
-            out += corner
+        result = np.empty_like(np.moveaxis(np.empty(self.shape + (len(values),)), -1, 0))
+        rows = np.moveaxis(result, 0, -1).reshape(-1, len(values))  # a view of result
+        acc, corner = np.empty(self.base.size), np.empty(self.base.size)
+        for ch, channel in enumerate(values):
+            plane = channel.ravel()
+            self._take(plane, 0, acc)
+            acc *= self.weight[0]
+            for k in range(1, 8):
+                self._take(plane, k, corner)
+                corner *= self.weight[k]
+                acc += corner
+            rows[:, ch] = acc
         return result
 
     def scatter(self, upstream: np.ndarray) -> np.ndarray:
@@ -181,7 +192,7 @@ class SamplePlan:
 
         One ``bincount`` per channel over all eight corners in corner-major order.
         """
-        index = self.index.ravel().astype(np.intp)
+        index = np.add.outer(np.array(self.offsets, dtype=np.intp), self.base).ravel()
         weights = np.empty_like(self.weight)
         out = np.empty((upstream.shape[0],) + self.dims)
         for ch, up in enumerate(upstream.reshape(upstream.shape[0], -1)):
@@ -191,23 +202,28 @@ class SamplePlan:
 
     def coords_grad(self, values: np.ndarray, upstream: np.ndarray) -> np.ndarray:
         """Adjoint of ``gather`` w.r.t. the coordinates, zero where clamped."""
-        rows = _channel_last(values)
-        corner = np.empty(self.shape + rows.shape[1:])
+        planes = [channel.ravel() for channel in values]
+        up = upstream.reshape(len(planes), -1)
+        corner = np.empty((len(planes), self.base.size))
+        dotted, term = np.empty(self.shape), np.empty(self.shape)
         wx, wy, wz = ((1.0 - f, f) for f in self.frac)
         grad = np.zeros((3,) + self.shape)
         gx, gy, gz = grad
         for k in range(8):
             a, b, c = k >> 2, (k >> 1) & 1, k & 1
-            np.take(rows, self.index[k], axis=0, out=corner.reshape(-1, rows.shape[1]),
-                    mode="clip")
-            dotted = (upstream * np.moveaxis(corner, -1, 0)).sum(axis=0)
+            for plane, out in zip(planes, corner):
+                self._take(plane, k, out)
+            corner *= up
+            np.sum(corner, axis=0, out=dotted.reshape(-1))
             # the low corner's weight falls as its coordinate grows
-            for g, w, rising in ((gx, wy[b] * wz[c], a), (gy, wx[a] * wz[c], b),
-                                 (gz, wx[a] * wy[b], c)):
+            for g, w1, w2, rising in ((gx, wy[b], wz[c], a), (gy, wx[a], wz[c], b),
+                                      (gz, wx[a], wy[b], c)):
+                np.multiply(w1, w2, out=term)
+                term *= dotted
                 if rising:
-                    g += w * dotted
+                    g += term
                 else:
-                    g -= w * dotted
+                    g -= term
         for axis in range(3):
             grad[axis] *= self.inside[axis]
         return grad

@@ -26,15 +26,37 @@ from .volume import LabelVolume, Volume
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MOD = 1 << 64
+_LCG_BLOCK = 1024
+
+
+def _lcg_states(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` LCG states after ``seed``, as uint64.
+
+    The first block is stepped in Python; block j is the first block advanced
+    by j*_LCG_BLOCK steps, an affine map that uint64 arithmetic applies mod 2**64.
+    """
+    state = seed % _LCG_MOD
+    first = []
+    for _ in range(min(count, _LCG_BLOCK)):
+        state = (_LCG_MULT * state + _LCG_INC) % _LCG_MOD
+        first.append(state)
+    jump_mult, jump_inc = 1, 0
+    for _ in range(_LCG_BLOCK):
+        jump_mult, jump_inc = (_LCG_MULT * jump_mult % _LCG_MOD,
+                               (_LCG_MULT * jump_inc + _LCG_INC) % _LCG_MOD)
+    mults, incs = [1], [0]
+    for _ in range(1, -(-count // _LCG_BLOCK)):
+        mults.append(jump_mult * mults[-1] % _LCG_MOD)
+        incs.append((jump_mult * incs[-1] + jump_inc) % _LCG_MOD)
+    states = (np.array(mults, dtype=np.uint64)[:, None] * np.array(first, dtype=np.uint64)
+              + np.array(incs, dtype=np.uint64)[:, None])
+    return states.ravel()[:count]
 
 
 def _lcg_normals(seed: int, count: int) -> np.ndarray:
     """Standard normal draws from an LCG + Box-Muller stream."""
-    state = seed % _LCG_MOD
-    uniforms = np.empty(2 * ((count + 1) // 2))
-    for i in range(len(uniforms)):
-        state = (_LCG_MULT * state + _LCG_INC) % _LCG_MOD
-        uniforms[i] = ((state >> 11) + 1) / float(1 << 53)  # in (0, 1]
+    states = _lcg_states(seed, 2 * ((count + 1) // 2))
+    uniforms = ((states >> 11) + 1) / float(1 << 53)  # in (0, 1]
     u1 = uniforms[0::2]
     u2 = uniforms[1::2]
     radius = np.sqrt(-2.0 * np.log(u1))

@@ -10,6 +10,7 @@ payload precision; data is cast to it on write.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,12 +201,30 @@ def read_volume(path) -> Volume | LabelVolume:
     return Volume(data, spacing_mm=header.spacing_mm, dtype=header.dtype)
 
 
+def _replace_file(path: Path, chunks) -> None:
+    """Write ``chunks`` to a temporary sibling of ``path``, then rename it into place.
+
+    A failure removes the temporary file and leaves ``path`` as it was.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_volume(v: Volume | LabelVolume, path) -> None:
-    """Write the header sidecar and raw payload for ``v``.
+    """Write the raw payload and header sidecar for ``v``.
 
     Image data is cast to the volume's declared payload dtype; reading the
     files back reproduces that quantized data bit-for-bit.  Invariants are
-    checked before anything touches the filesystem.
+    checked before anything touches the filesystem.  Each sidecar is written
+    to a temporary file and renamed into place, the payload first and the
+    header last, so an interrupted write leaves the previous volume readable.
     """
     header_path, raw_path = _sidecar_paths(path)
     if isinstance(v, LabelVolume):
@@ -222,10 +241,8 @@ def write_volume(v: Volume | LabelVolume, path) -> None:
         ]
     else:
         raise TypeError(f"cannot write object of type {type(v).__name__}")
-    header_path.write_text(header.to_json())
-    with open(raw_path, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk.tobytes())
+    _replace_file(raw_path, chunks)
+    _replace_file(header_path, [header.to_json().encode()])
 
 
 def hu_window(v: Volume, level: float, width: float) -> Volume:

@@ -4,7 +4,8 @@ These deliberately avoid the library's vectorized code paths: scalar loops
 with explicit stencils for the determinant, all-pairs distances for surface
 metrics, exactly-rounded summation for aggregates.  The trilinear reference
 keeps the direct per-call formulas that the sample plan replaced, so plan
-results can be held bit-equal to them.
+results can be held bit-equal to them; the noise reference steps the phantom's
+LCG one state at a time in Python integers.
 """
 
 import math
@@ -206,3 +207,23 @@ def vjp_upsample_ref(upstream, stride, control_dims):
     image_dims = upstream.shape[1:]
     coords = [np.broadcast_to(c, image_dims) for c in grid_coords_ref(image_dims, stride)]
     return sample_vjp_ref(None, (3,) + tuple(control_dims), coords, upstream)[0]
+
+
+# ---------------------------------------------------------------------------
+# reference noise stream: one Python step per LCG state
+
+
+def lcg_normals_ref(seed, count):
+    """LCG + Box-Muller normals with the LCG stepped in Python integers."""
+    mult, inc, mod = 6364136223846793005, 1442695040888963407, 1 << 64
+    state = seed % mod
+    uniforms = np.empty(2 * ((count + 1) // 2))
+    for i in range(len(uniforms)):
+        state = (mult * state + inc) % mod
+        uniforms[i] = ((state >> 11) + 1) / float(1 << 53)
+    radius = np.sqrt(-2.0 * np.log(uniforms[0::2]))
+    angle = 2.0 * math.pi * uniforms[1::2]
+    normals = np.empty(len(uniforms))
+    normals[0::2] = radius * np.cos(angle)
+    normals[1::2] = radius * np.sin(angle)
+    return normals[:count]

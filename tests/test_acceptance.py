@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The phantom-recovery
 criteria share one module-scoped pair of registrations and together take a
-few minutes; everything else completes in seconds.
+few minutes; everything else completes in seconds.  Those two criteria carry
+the ``slow`` marker, so ``pytest -m "not slow"`` skips the registrations.
 """
 
 import math
@@ -275,6 +276,7 @@ def test_criterion_7_metric_oracles():
 # 8. phantom recovery
 
 
+@pytest.mark.slow
 def test_criterion_8_phantom_recovery(recovery_runs):
     before = recovery_runs["before"].mean_dice
     two = recovery_runs[2]
@@ -291,6 +293,7 @@ def test_criterion_8_phantom_recovery(recovery_runs):
 # 9. multi-step direction
 
 
+@pytest.mark.slow
 def test_criterion_9_multistep_direction(recovery_runs):
     one = recovery_runs[1]["metrics"].mean_dice
     two = recovery_runs[2]["metrics"].mean_dice

@@ -285,6 +285,22 @@ def test_register_batch_bad_entry_exit_1_before_any_pair(workdir, capsys, bad_en
     assert not (workdir / "first").exists()
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_register_batch_failed_pair_keeps_the_others(workdir, capsys, jobs):
+    manifest = [dict(batch_entry(workdir, "lost"), moving=str(workdir / "absent"),
+                     pair_id="broken"),
+                dict(batch_entry(workdir, "kept"), pair_id="healthy")]
+    (workdir / "pairs.json").write_text(json.dumps(manifest))
+    assert run("--jobs", jobs, "register", "--pairs", workdir / "pairs.json",
+               "--config", workdir / "config.json") == 1
+    captured = capsys.readouterr()
+    assert "broken: error: missing volume header" in captured.err
+    assert "healthy: iterations=" in captured.out
+    for name in ("phi_moving_to_fixed.raw", "warped_moving.raw", "loss_trace.csv",
+                 "metrics.csv"):
+        assert (workdir / "kept" / name).exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 

@@ -10,9 +10,11 @@ from gradreg.phantom import (
     Ellipsoid,
     PhantomSpec,
     make_pair,
+    _lcg_normals,
     make_phantom,
     analytic_field,
 )
+from oracles import lcg_normals_ref
 
 SPEC = PhantomSpec(
     dims=(16, 16, 16),
@@ -70,6 +72,14 @@ def test_phantom_determinism_per_seed():
                         noise_sigma=SPEC.noise_sigma, seed=10)
     img3, _ = make_phantom(other)
     assert not np.array_equal(img1.data, img3.data)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, 123456789])
+def test_lcg_normals_match_python_loop_bit_for_bit(seed):
+    for count in (0, 1, 7, 1025, 48**3):
+        got, want = _lcg_normals(seed, count), lcg_normals_ref(seed, count)
+        assert got.shape == want.shape == (count,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_spec_validation():

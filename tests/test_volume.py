@@ -1,6 +1,10 @@
+import builtins
+import os
+
 import numpy as np
 import pytest
 
+from gradreg import volume
 from gradreg.volume import (
     LabelVolume,
     Volume,
@@ -102,6 +106,38 @@ def test_non_finite_rejected_before_write(tmp_path):
         write_volume(v, tmp_path / "nan")
     assert not (tmp_path / "nan.json").exists()
     assert not (tmp_path / "nan.raw").exists()
+
+
+class _FailingWriter:
+    """A file that accepts its first write and raises on the next one."""
+
+    def __init__(self, path, mode):
+        self.fh = builtins.open(path, mode)
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_interrupted_write_keeps_previous_volume(tmp_path, monkeypatch):
+    rng = np.random.default_rng(12)
+    old = random_volume(rng, channels=3)
+    write_volume(old, tmp_path / "vol")
+    monkeypatch.setattr(volume, "open", _FailingWriter, raising=False)
+    with pytest.raises(OSError, match="no space"):
+        write_volume(random_volume(rng, channels=3), tmp_path / "vol")
+    back = read_volume(tmp_path / "vol")
+    assert np.array_equal(back.data, old.data)
+    assert sorted(os.listdir(tmp_path)) == ["vol.json", "vol.raw"]
 
 
 def test_x_fastest_layout(tmp_path):
