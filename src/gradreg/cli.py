@@ -194,6 +194,11 @@ def _read_manifest(path) -> list[dict]:
         missing = [key for key in ("moving", "fixed", "out_dir") if key not in e]
         if missing:
             raise _CliError(f"pairs manifest entry {i} lacks {', '.join(missing)}")
+        for key in _PAIR_KEYS:
+            value = e.get(key)
+            if not isinstance(value, str) and not (value is None and key.endswith("labels")):
+                raise _CliError(f"pairs manifest entry {i}: {key} must be a path string, "
+                                f"got {json.dumps(value)}")
         pair = {key: e.get(key) for key in _PAIR_KEYS}
         pair["pair_id"] = e.get("pair_id", f"pair{i:03d}")
         pairs.append(pair)

@@ -5,7 +5,11 @@ directions: the positive field generates the A-to-B deformation, its negation
 the B-to-A one, so swapping the inputs and negating the parameters exchanges
 the two directions exactly.  Each step re-registers the previously warped
 volumes onto the original targets; the objective is the sum of the five-term
-loss over all steps.
+loss over all steps.  A run's exposed fields compose the step fields, and its
+exposed warped volumes are the inputs warped once with those fields, so
+re-applying a saved field reproduces the saved warp; the sequential per-step
+warps the losses see stay in the run's ``steps``.  The registration result is
+the final forward pass plus the optimization history.
 
 Gradients are exact reverse-mode vector-Jacobian products chained through
 warp -> integrate -> activate -> upsample for every step and direction,
@@ -23,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import deform
-from .deform import DeformationField, GradientField, PreActivationField
+from .deform import DeformationField, PreActivationField
 from .losses import LossBreakdown, LossWeights, loss_total
 from .volume import LabelVolume, Volume, one_hot
 
@@ -82,47 +86,28 @@ class RegistrationConfig:
         unknown = set(raw) - set(defaults) - {"seed"}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        values = {key: type(d)(raw.get(key, d)) for key, d in defaults.items()}
+        values = {key: _typed(key, raw.get(key, d), d) for key, d in defaults.items()}
         weights = LossWeights(**{f.name: values.pop(f.name) for f in fields(LossWeights)})
         return cls(weights=weights, **values)
 
 
-@dataclass
-class RegistrationState:
-    """Optimizer state: one parameter field per step plus Adam moments."""
-
-    deltas: list[PreActivationField]
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    iteration: int = 0
-    trace: list[LossBreakdown] = field(default_factory=list)
-
-
-def init_state(image_dims, config: RegistrationConfig) -> RegistrationState:
-    """Zero-initialized state: every step starts at the identity deformation."""
-    control = deform.control_dims_for(image_dims, config.control_stride)
-    shape = (3,) + control
-    deltas = [
-        PreActivationField(np.zeros(shape), stride=config.control_stride)
-        for _ in range(config.steps)
-    ]
-    return RegistrationState(
-        deltas=deltas,
-        m=[np.zeros(shape) for _ in range(config.steps)],
-        v=[np.zeros(shape) for _ in range(config.steps)],
-    )
+def _typed(key: str, value, default):
+    """A JSON value as its default's type: int keys take integers, float keys numbers."""
+    kinds = (int,) if isinstance(default, int) else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if kinds == (int,) else "a number"
+        raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
+    return type(default)(value)
 
 
 @dataclass
 class StepForward:
-    """Everything one refinement step produces, both directions.
+    """One refinement step's fields, sequential warps and loss, both directions.
 
     ``x`` is the upsampled parameter field, kept for the backward pass.
     """
 
     x: PreActivationField
-    g_ab: GradientField
-    g_ba: GradientField
     phi_ab: DeformationField
     phi_ba: DeformationField
     a_warp: Volume
@@ -130,22 +115,6 @@ class StepForward:
     a_seg_warp: Volume | None
     b_seg_warp: Volume | None
     breakdown: LossBreakdown
-
-
-@dataclass
-class RegistrationResult:
-    """Final fields and warps plus the optimization history."""
-
-    phi_ab: DeformationField
-    phi_ba: DeformationField
-    a_warp: Volume
-    b_warp: Volume
-    steps: list[StepForward]
-    deltas: list[PreActivationField]
-    trace: list[LossBreakdown]
-    final: LossBreakdown
-    iterations_run: int
-    converged: bool
 
 
 def _check_pair(a: Volume, b: Volume, segs) -> None:
@@ -178,12 +147,16 @@ def _compose_steps(phis: list[DeformationField]) -> DeformationField:
 
 @dataclass
 class MultistepForward:
-    """All steps of one forward pass; the composed fields are built on first access."""
+    """All steps of one forward pass and its two inputs.
+
+    The composed fields, and the inputs warped once with them, are built on
+    first access; the sequential per-step warps stay in ``steps``.
+    """
 
     steps: list[StepForward]
     breakdown: LossBreakdown
-    a_warp: Volume
-    b_warp: Volume
+    a: Volume
+    b: Volume
 
     @cached_property
     def phi_ab(self) -> DeformationField:
@@ -192,6 +165,28 @@ class MultistepForward:
     @cached_property
     def phi_ba(self) -> DeformationField:
         return _compose_steps([s.phi_ba for s in self.steps])
+
+    @cached_property
+    def a_warp(self) -> Volume:
+        return deform.warp(self.a, self.phi_ab)
+
+    @cached_property
+    def b_warp(self) -> Volume:
+        return deform.warp(self.b, self.phi_ba)
+
+
+@dataclass
+class RegistrationResult(MultistepForward):
+    """The final forward pass plus the optimization history."""
+
+    deltas: list[PreActivationField]
+    trace: list[LossBreakdown]
+    iterations_run: int
+    converged: bool
+
+    @property
+    def final(self) -> LossBreakdown:
+        return self.breakdown
 
 
 def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
@@ -202,10 +197,12 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
     direction from -delta, so swapping the inputs and negating the deltas
     yields the exact mirror.  The loss applies to every step's warped volumes
     against the original targets and the step totals add up.  The exposed
-    fields are the per-step compositions: warping once with ``phi_ab``
-    approximates the sequential per-step warps that produced ``a_warp``.  They
-    are composed on first access, so a forward pass whose fields are never
-    read skips the composes; with one step they are that step's fields.
+    fields are the per-step compositions, and the exposed ``a_warp``/``b_warp``
+    are the inputs warped once with them, so re-applying a saved field
+    reproduces them; the sequential per-step warps that the losses see live
+    in ``steps``.  Fields and warps are built on first access, so a forward
+    pass that never reads them skips the composes; with one step they equal
+    that step's fields and warps.
     """
     if not deltas:
         raise ValueError("at least one parameter field is required")
@@ -228,10 +225,10 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
             a_cur, b, b_cur, a, g_ab, g_ba, phi_ab, phi_ba, weights,
             a_seg_warp=a_seg_cur, b_seg=b_seg, b_seg_warp=b_seg_cur, a_seg=a_seg,
         )
-        steps.append(StepForward(x, g_ab, g_ba, phi_ab, phi_ba, a_cur, b_cur,
+        steps.append(StepForward(x, phi_ab, phi_ba, a_cur, b_cur,
                                  a_seg_cur, b_seg_cur, breakdown))
     breakdown = _sum_breakdowns([s.breakdown for s in steps])
-    return MultistepForward(steps, breakdown, a_cur, b_cur)
+    return MultistepForward(steps, breakdown, a, b)
 
 
 # Each warped input of a step by its breakdown gradient name, with the field
@@ -283,11 +280,9 @@ def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
     return grads
 
 
-def objective_and_gradient(a: Volume, b: Volume,
-                           state: RegistrationState | list[PreActivationField],
+def objective_and_gradient(a: Volume, b: Volume, deltas: list[PreActivationField],
                            config: RegistrationConfig, segs=None):
     """Total multistep loss and its exact gradient w.r.t. every delta field."""
-    deltas = state.deltas if isinstance(state, RegistrationState) else list(state)
     run = multistep_forward(a, b, deltas, config.weights, segs=segs)
     grads = _backward(run.steps, a, b, segs, deltas)
     return run.breakdown.total, grads
@@ -301,49 +296,40 @@ def optimize(a: Volume, b: Volume, config: RegistrationConfig,
     the total loss over a 10-iteration window drops below the convergence
     tolerance.  Bit-reproducible for identical inputs and config.
     """
-    state = init_state(a.dims, config)
+    shape = (3,) + deform.control_dims_for(a.dims, config.control_stride)
+    # every step starts at the identity deformation
+    deltas = [PreActivationField(np.zeros(shape), stride=config.control_stride)
+              for _ in range(config.steps)]
+    m = [np.zeros(shape) for _ in deltas]
+    v = [np.zeros(shape) for _ in deltas]
+    trace: list[LossBreakdown] = []
     beta1, beta2 = ADAM_BETAS
     converged = False
-    for _ in range(config.iterations):
-        run = multistep_forward(a, b, state.deltas, config.weights, segs=segs)
-        state.trace.append(run.breakdown)
+    for t in range(1, config.iterations + 1):
+        run = multistep_forward(a, b, deltas, config.weights, segs=segs)
+        trace.append(run.breakdown)
         if not np.isfinite(run.breakdown.total):
-            raise DivergenceError(
-                f"objective became non-finite at iteration {state.iteration}",
-                state.trace,
-            )
-        grads = _backward(run.steps, a, b, segs, state.deltas)
-        state.iteration += 1
-        t = state.iteration
+            raise DivergenceError(f"objective became non-finite at iteration {t - 1}", trace)
+        grads = _backward(run.steps, a, b, segs, deltas)
         for k, g in enumerate(grads):
-            state.m[k] = beta1 * state.m[k] + (1.0 - beta1) * g
-            state.v[k] = beta2 * state.v[k] + (1.0 - beta2) * (g * g)
-            m_hat = state.m[k] / (1.0 - beta1**t)
-            v_hat = state.v[k] / (1.0 - beta2**t)
-            new_values = state.deltas[k].values - config.learning_rate * m_hat / (
-                np.sqrt(v_hat) + ADAM_EPS
-            )
-            state.deltas[k] = PreActivationField(new_values, stride=state.deltas[k].stride)
+            m[k] = beta1 * m[k] + (1.0 - beta1) * g
+            v[k] = beta2 * v[k] + (1.0 - beta2) * (g * g)
+            m_hat = m[k] / (1.0 - beta1**t)
+            v_hat = v[k] / (1.0 - beta2**t)
+            update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+            deltas[k] = PreActivationField(deltas[k].values - update,
+                                           stride=config.control_stride)
         del run, grads  # free this iteration's arrays and plans before the next forward
-        if len(state.trace) >= 11:
-            ref = state.trace[-11].total
-            if abs(state.trace[-1].total - ref) < config.convergence_tol * max(
-                abs(ref), 1e-300
-            ):
+        if len(trace) >= 11:
+            ref = trace[-11].total
+            if abs(trace[-1].total - ref) < config.convergence_tol * max(abs(ref), 1e-300):
                 converged = True
                 break
-    final_run = multistep_forward(a, b, state.deltas, config.weights, segs=segs)
-    if not np.isfinite(final_run.breakdown.total):
-        raise DivergenceError("objective became non-finite after the last update",
-                              state.trace)
-    return _result(final_run, state.deltas, state.trace, state.iteration, converged)
-
-
-def _result(run: MultistepForward, deltas, trace, iterations_run: int,
-            converged: bool) -> RegistrationResult:
-    """Assemble a result from a forward pass; composes its exposed fields."""
-    return RegistrationResult(run.phi_ab, run.phi_ba, run.a_warp, run.b_warp, run.steps,
-                              deltas, trace, run.breakdown, iterations_run, converged)
+    final = multistep_forward(a, b, deltas, config.weights, segs=segs)
+    if not np.isfinite(final.breakdown.total):
+        raise DivergenceError("objective became non-finite after the last update", trace)
+    return RegistrationResult(final.steps, final.breakdown, a, b, deltas, trace,
+                              len(trace), converged)
 
 
 def register_pair(a: Volume, b: Volume, config: RegistrationConfig, segs=None,
@@ -361,10 +347,9 @@ def register_pair(a: Volume, b: Volume, config: RegistrationConfig, segs=None,
     result = optimize(a, b, config, segs=segs)
     if inference_steps is None or inference_steps == config.steps:
         return result
-    run = multistep_forward(a, b, result.deltas[:inference_steps], config.weights,
-                            segs=segs)
-    return _result(run, result.deltas[:inference_steps], result.trace,
-                   result.iterations_run, result.converged)
+    deltas = result.deltas[:inference_steps]
+    run = multistep_forward(a, b, deltas, config.weights, segs=segs)
+    return replace(result, steps=run.steps, breakdown=run.breakdown, deltas=deltas)
 
 
 def gradient_check(dims, config: RegistrationConfig, seed: int = 0) -> dict[str, float]:

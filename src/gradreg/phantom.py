@@ -26,31 +26,21 @@ from .volume import LabelVolume, Volume
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MOD = 1 << 64
-_LCG_BLOCK = 1024
 
 
 def _lcg_states(seed: int, count: int) -> np.ndarray:
     """The first ``count`` LCG states after ``seed``, as uint64.
 
-    The first block is stepped in Python; block j is the first block advanced
-    by j*_LCG_BLOCK steps, an affine map that uint64 arithmetic applies mod 2**64.
+    Log-doubling: advancing the states so far by their own count, an affine
+    map that uint64 arithmetic applies mod 2**64, gives the next as many; the
+    map then composes with itself in Python ints.
     """
-    state = seed % _LCG_MOD
-    first = []
-    for _ in range(min(count, _LCG_BLOCK)):
-        state = (_LCG_MULT * state + _LCG_INC) % _LCG_MOD
-        first.append(state)
-    jump_mult, jump_inc = 1, 0
-    for _ in range(_LCG_BLOCK):
-        jump_mult, jump_inc = (_LCG_MULT * jump_mult % _LCG_MOD,
-                               (_LCG_MULT * jump_inc + _LCG_INC) % _LCG_MOD)
-    mults, incs = [1], [0]
-    for _ in range(1, -(-count // _LCG_BLOCK)):
-        mults.append(jump_mult * mults[-1] % _LCG_MOD)
-        incs.append((jump_mult * incs[-1] + jump_inc) % _LCG_MOD)
-    states = (np.array(mults, dtype=np.uint64)[:, None] * np.array(first, dtype=np.uint64)
-              + np.array(incs, dtype=np.uint64)[:, None])
-    return states.ravel()[:count]
+    states = np.array([(_LCG_MULT * seed + _LCG_INC) % _LCG_MOD], dtype=np.uint64)
+    mult, inc = _LCG_MULT, _LCG_INC
+    while len(states) < count:
+        states = np.concatenate([states, states * np.uint64(mult) + np.uint64(inc)])
+        mult, inc = mult * mult % _LCG_MOD, (mult * inc + inc) % _LCG_MOD
+    return states[:count]
 
 
 def _lcg_normals(seed: int, count: int) -> np.ndarray:

@@ -4,13 +4,16 @@ Arrays are kept in float64 (images) / uint16 (labels) in memory with shape
 ``(channels, nx, ny, nz)`` resp. ``(nx, ny, nz)``.  On disk a volume is a pair
 of files: ``<name>.json`` (header) plus ``<name>.raw`` (little-endian payload,
 channel-major, x-fastest within each channel).  The header's dtype tag is the
-payload precision; data is cast to it on write.
+payload precision; data is cast to it on write.  The header also names its
+payload by ``payload_crc32``, the CRC-32 of the payload bytes, so a header
+never reads back with a payload it was not written with.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,6 +107,7 @@ class VolumeHeader:
     dtype: str
     byte_order: str = "little"
     order: str = "x-fastest"
+    payload_crc32: int | None = None  # absent in headers written before it existed
 
     def __post_init__(self):
         if self.dtype not in PAYLOAD_DTYPES:
@@ -135,6 +139,7 @@ class VolumeHeader:
                 "dtype": self.dtype,
                 "order": self.order,
                 "byte_order": self.byte_order,
+                "payload_crc32": self.payload_crc32,
             }
         )
 
@@ -154,6 +159,8 @@ class VolumeHeader:
                 dtype=str(raw["dtype"]),
                 byte_order=str(raw.get("byte_order", "little")),
                 order=str(raw.get("order", "x-fastest")),
+                payload_crc32=None if raw.get("payload_crc32") is None
+                else int(raw["payload_crc32"]),
             )
         except KeyError as e:
             raise ValueError(f"volume header missing field {e.args[0]!r}") from e
@@ -170,7 +177,8 @@ def read_volume(path) -> Volume | LabelVolume:
     """Read ``<name>.json`` + ``<name>.raw`` into a Volume or LabelVolume.
 
     ``path`` may name either sidecar or the bare stem.  A ``u16`` dtype tag
-    yields a LabelVolume, anything else a Volume.
+    yields a LabelVolume, anything else a Volume.  A payload whose CRC-32
+    differs from the header's ``payload_crc32`` is rejected.
     """
     header_path, raw_path = _sidecar_paths(path)
     if not header_path.exists():
@@ -194,11 +202,16 @@ def read_volume(path) -> Volume | LabelVolume:
     if header.dtype == "u16":
         if header.channels != 1:
             raise ValueError("label volumes must have exactly one channel")
-        return LabelVolume(channels[0], spacing_mm=header.spacing_mm)
-    data = np.stack([c.astype(np.float64) for c in channels])
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"non-finite values in volume payload {raw_path}")
-    return Volume(data, spacing_mm=header.spacing_mm, dtype=header.dtype)
+        out = LabelVolume(channels[0], spacing_mm=header.spacing_mm)
+    else:
+        data = np.stack([c.astype(np.float64) for c in channels])
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"non-finite values in volume payload {raw_path}")
+        out = Volume(data, spacing_mm=header.spacing_mm, dtype=header.dtype)
+    if header.payload_crc32 is not None and zlib.crc32(payload) != header.payload_crc32:
+        raise ValueError(f"payload checksum mismatch: {header_path} was written "
+                         f"with another payload than {raw_path}")
+    return out
 
 
 def _replace_file(path: Path, chunks) -> None:
@@ -224,16 +237,17 @@ def write_volume(v: Volume | LabelVolume, path) -> None:
     files back reproduces that quantized data bit-for-bit.  Invariants are
     checked before anything touches the filesystem.  Each sidecar is written
     to a temporary file and renamed into place, the payload first and the
-    header last, so an interrupted write leaves the previous volume readable.
+    header last, so an interrupted write leaves the previous volume readable
+    or, if only the payload was replaced, rejected by its checksum.
     """
     header_path, raw_path = _sidecar_paths(path)
     if isinstance(v, LabelVolume):
-        header = VolumeHeader(v.dims, 1, v.spacing_mm, "u16")
+        layout = (v.dims, 1, v.spacing_mm, "u16")
         chunks = [np.ascontiguousarray(v.labels.ravel(order="F"), dtype="<u2")]
     elif isinstance(v, Volume):
         if not np.all(np.isfinite(v.data)):
             raise ValueError("refusing to write non-finite volume data")
-        header = VolumeHeader(v.dims, v.channels, v.spacing_mm, v.dtype)
+        layout = (v.dims, v.channels, v.spacing_mm, v.dtype)
         out_dtype = PAYLOAD_DTYPES[v.dtype]
         chunks = [
             np.ascontiguousarray(v.data[k].ravel(order="F"), dtype=out_dtype)
@@ -241,6 +255,10 @@ def write_volume(v: Volume | LabelVolume, path) -> None:
         ]
     else:
         raise TypeError(f"cannot write object of type {type(v).__name__}")
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+    header = VolumeHeader(*layout, payload_crc32=crc)
     _replace_file(raw_path, chunks)
     _replace_file(header_path, [header.to_json().encode()])
 

@@ -274,6 +274,14 @@ def batch_entry(workdir, name):
 @pytest.mark.parametrize("bad_entry, message", [
     ([1], "entry 1 must be a JSON object"),
     ({"fixed": "img", "out_dir": "never"}, "entry 1 lacks moving"),
+    ({"fixed": "img", "moving": 5, "out_dir": "never"},
+     "entry 1: moving must be a path string, got 5"),
+    ({"fixed": ["img"], "moving": "img", "out_dir": "never"},
+     "entry 1: fixed must be a path string"),
+    ({"fixed": "img", "moving": "img", "out_dir": None},
+     "entry 1: out_dir must be a path string, got null"),
+    ({"fixed": "img", "moving": "img", "out_dir": "never", "moving_labels": 3},
+     "entry 1: moving_labels must be a path string"),
 ])
 def test_register_batch_bad_entry_exit_1_before_any_pair(workdir, capsys, bad_entry,
                                                           message):
@@ -283,6 +291,32 @@ def test_register_batch_bad_entry_exit_1_before_any_pair(workdir, capsys, bad_en
                "--config", workdir / "config.json") == 1
     assert message in capsys.readouterr().err
     assert not (workdir / "first").exists()
+
+
+def test_register_batch_null_labels_allowed(workdir):
+    entry = dict(batch_entry(workdir, "nolabels"), moving_labels=None, fixed_labels=None)
+    (workdir / "pairs.json").write_text(json.dumps([entry]))
+    assert run("register", "--pairs", workdir / "pairs.json",
+               "--config", workdir / "config.json") == 0
+    assert (workdir / "nolabels" / "warped_moving.raw").exists()
+
+
+def test_register_multistep_warp_matches_reapplied_field(workdir):
+    rng = np.random.default_rng(1)
+    write_volume(Volume(rng.uniform(0, 1, (1,) + DIMS).astype(np.float32)),
+                 workdir / "other")
+    config = dict(TINY_CONFIG, steps=2, learning_rate=0.1)
+    (workdir / "multistep.json").write_text(json.dumps(config))
+    out_dir = workdir / "reg"
+    assert run("--quiet", "register", "--fixed", workdir / "other",
+               "--moving", workdir / "img", "--config", workdir / "multistep.json",
+               "--out-dir", out_dir) == 0
+    assert run("warp", "--image", workdir / "img",
+               "--field", out_dir / "phi_moving_to_fixed",
+               "--out", workdir / "rewarped") == 0
+    saved = read_volume(out_dir / "warped_moving").data
+    rewarped = read_volume(workdir / "rewarped").data
+    assert float(np.max(np.abs(rewarped - saved))) < 1e-4
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -312,6 +346,15 @@ def test_gradcheck_passes(tmp_path, capsys):
                tmp_path / "config.json", "--seed", "0") == 0
     out = capsys.readouterr().out
     assert "passed" in out
+
+
+@pytest.mark.parametrize("command", ["register", "gradcheck"])
+def test_config_value_of_wrong_type_exit_1(workdir, capsys, command):
+    (workdir / "bad.json").write_text(json.dumps(dict(TINY_CONFIG, alpha=None)))
+    args = ["--fixed", workdir / "img", "--moving", workdir / "img",
+            "--out-dir", workdir / "reg"] if command == "register" else ["--dims", "4,4,4"]
+    assert run(command, "--config", workdir / "bad.json", *args) == 1
+    assert "config key 'alpha' must be a number, got null" in capsys.readouterr().err
 
 
 def test_gradcheck_dims_too_large_exit_1(capsys):

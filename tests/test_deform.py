@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradreg.deform import (
     DeformationField,
     GradientField,
     PreActivationField,
     activate,
+    axis_gradient,
+    axis_gradient_adjoint,
     compose,
+    control_dims_for,
     det_vjp,
     identity_field,
     integrate,
@@ -432,3 +437,48 @@ def test_vjp_upsample_matches_fd():
     )
     fd = directional_fd(f, control, direction)
     assert rel_err(analytic, fd) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# dot-product adjoint identities <J v, u> = <v, J^T u> at random shapes
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+random_dims = st.tuples(st.integers(3, 7), st.integers(3, 7), st.integers(3, 7))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def assert_adjoint(jv, u, v, jtu):
+    lhs = float(np.sum(jv * u))
+    rhs = float(np.sum(v * jtu))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@PROPERTY
+@given(seeds, random_dims, st.integers(0, 2))
+def test_axis_gradient_adjoint_identity(seed, dims, axis):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dims)
+    u = rng.standard_normal(dims)
+    assert_adjoint(axis_gradient(v, axis), u, v, axis_gradient_adjoint(u, axis))
+
+
+@PROPERTY
+@given(seeds, random_dims)
+def test_integrate_cumsum_adjoint_identity(seed, dims):
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.05, 1.95, (3,) + dims)
+    u = rng.standard_normal((3,) + dims)
+    # integrate is the per-axis prefix sum minus one; the sum is its linear part
+    cumsum = integrate(GradientField(v)).values + 1.0
+    assert_adjoint(cumsum, u, v, vjp_integrate(u))
+
+
+@PROPERTY
+@given(seeds, random_dims, st.integers(1, 4))
+def test_upsample_adjoint_identity(seed, dims, stride):
+    rng = np.random.default_rng(seed)
+    control = control_dims_for(dims, stride)
+    v = rng.standard_normal((3,) + control)
+    u = rng.standard_normal((3,) + dims)
+    full = upsample(PreActivationField(v, stride=stride), dims).values
+    assert_adjoint(full, u, v, vjp_upsample(u, stride, control))

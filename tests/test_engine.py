@@ -10,7 +10,6 @@ from gradreg.engine import (
     ADAM_EPS,
     RegistrationConfig,
     gradient_check,
-    init_state,
     multistep_forward,
     objective_and_gradient,
     optimize,
@@ -119,6 +118,19 @@ def test_multistep_identity_second_step_keeps_first_warp():
     assert np.array_equal(two_step.phi_ab.values, one_step.phi_ab.values)
 
 
+@pytest.mark.parametrize("n_steps", [2, 3])
+def test_multistep_warps_come_from_the_composed_fields(n_steps):
+    rng = np.random.default_rng(16)
+    a, b = random_pair(rng)
+    segs = random_segs(rng)
+    deltas = [PreActivationField(rng.normal(0, 1.0, (3,) + DIMS)) for _ in range(n_steps)]
+    multi = multistep_forward(a, b, deltas, WEIGHTS, segs=segs)
+    assert np.array_equal(multi.a_warp.data, deform.warp(a, multi.phi_ab).data)
+    assert np.array_equal(multi.b_warp.data, deform.warp(b, multi.phi_ba).data)
+    # the losses saw the sequential warps, which the composed field only approximates
+    assert not np.array_equal(multi.a_warp.data, multi.steps[-1].a_warp.data)
+
+
 def test_multistep_total_is_sum_of_step_totals():
     rng = np.random.default_rng(7)
     a, b = random_pair(rng)
@@ -140,8 +152,8 @@ def test_gradient_zero_at_global_minimum():
     rng = np.random.default_rng(8)
     a, _ = random_pair(rng)
     config = RegistrationConfig(steps=2, iterations=1, control_stride=2)
-    state = init_state(DIMS, config)
-    total, grads = objective_and_gradient(a, a, state, config)
+    deltas = [zero_delta(stride=2), zero_delta(stride=2)]
+    total, grads = objective_and_gradient(a, a, deltas, config)
     assert total == 0.0
     for g in grads:
         assert np.all(g == 0.0)
@@ -306,6 +318,12 @@ def test_register_pair_inference_steps():
     trimmed = register_pair(pair.moving, pair.fixed, config, inference_steps=1)
     assert len(trimmed.steps) == 1
     assert np.array_equal(trimmed.phi_ab.values, full.steps[0].phi_ab.values)
+    assert np.array_equal(trimmed.a_warp.data, full.steps[0].a_warp.data)
+    assert np.array_equal(full.a_warp.data,
+                          deform.warp(pair.moving, full.phi_ab).data)
+    assert len(trimmed.deltas) == 1
+    assert np.array_equal(trimmed.deltas[0].values, full.deltas[0].values)
+    assert trimmed.iterations_run == full.iterations_run
     with pytest.raises(ValueError, match="inference steps"):
         register_pair(pair.moving, pair.fixed, config, inference_steps=3)
 
@@ -335,6 +353,19 @@ def test_config_ignores_legacy_seed_key():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys"):
         RegistrationConfig.from_json('{"alpha": 1.0, "momentum": 0.9}')
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"steps": 1.7}', "steps"),
+    ('{"iterations": true}', "iterations"),
+    ('{"alpha": "2"}', "alpha"),
+    ('{"alpha": null}', "alpha"),
+    ('{"steps": [2]}', "steps"),
+    ('{"learning_rate": false}', "learning_rate"),
+])
+def test_config_rejects_values_of_the_wrong_json_type(text, key):
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        RegistrationConfig.from_json(text)
 
 
 def test_config_defaults_match_chosen_setup():

@@ -1,5 +1,7 @@
 import builtins
+import json
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -138,6 +140,38 @@ def test_interrupted_write_keeps_previous_volume(tmp_path, monkeypatch):
     back = read_volume(tmp_path / "vol")
     assert np.array_equal(back.data, old.data)
     assert sorted(os.listdir(tmp_path)) == ["vol.json", "vol.raw"]
+
+
+def test_header_from_an_interrupted_rewrite_rejects_the_new_payload(tmp_path,
+                                                                   monkeypatch):
+    rng = np.random.default_rng(13)
+    write_volume(random_volume(rng), tmp_path / "vol")  # spacing (1.5, 2.0, 2.5)
+    calls = []
+
+    def replace_once(src, dst):
+        calls.append(dst)
+        if len(calls) > 1:
+            raise OSError("killed between the two renames")
+        os.rename(src, dst)
+
+    monkeypatch.setattr(volume.os, "replace", replace_once)
+    new = Volume(np.ones((1, 8, 8, 8)), spacing_mm=(2.0, 2.0, 2.0))
+    with pytest.raises(OSError, match="killed"):
+        write_volume(new, tmp_path / "vol")
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="checksum"):
+        read_volume(tmp_path / "vol")
+
+
+def test_header_without_checksum_still_reads(tmp_path):
+    rng = np.random.default_rng(14)
+    v = random_volume(rng, channels=2)
+    write_volume(v, tmp_path / "vol")
+    header = json.loads((tmp_path / "vol.json").read_text())
+    assert header["payload_crc32"] == zlib.crc32((tmp_path / "vol.raw").read_bytes())
+    del header["payload_crc32"]
+    (tmp_path / "vol.json").write_text(json.dumps(header))
+    assert np.array_equal(read_volume(tmp_path / "vol").data, v.data)
 
 
 def test_x_fastest_layout(tmp_path):
