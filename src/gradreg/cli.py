@@ -217,6 +217,10 @@ def _cmd_register(args) -> int:
             for pair in pairs]
     workers = min(args.jobs, len(jobs))
     if workers > 1:
+        # loaded before the fork, so that forked workers share one copy of what
+        # registration (scipy.special) and its metrics (scipy.spatial) import
+        import scipy.spatial  # noqa: F401
+        import scipy.special  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_pair, jobs))
     else:

@@ -15,12 +15,11 @@ All trilinear sampling runs through one kernel, ``SamplePlan``: the flat
 index of each sample's lowest corner (N,) intp, the eight constant flat corner
 offsets, corner weights (8, N) f64, fractional offsets (3, N) f64 and the
 inside-mask (3, N) bool, 99 bytes per sample.  Every pass runs over one
-contiguous (N,) channel plane at a time.  A ``DeformationField`` builds its
-plan when first sampled at and keeps it for its lifetime, so every warp,
+contiguous (N,) channel plane at a time, and every field, gradient and warp is
+a C-contiguous stack of such planes.  A ``DeformationField`` builds its plan
+when first sampled at and keeps it for its lifetime, so every warp,
 composition and adjoint at that field shares it; ``values`` must not change
-afterwards.  Only to stay bit-identical to direct sampling, a gather returns a
-channel-interleaved (C, nx, ny, nz) array that owns its buffer, and a scatter
-makes one corner-major ``bincount`` per channel over all eight corners.
+afterwards.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .volume import LabelVolume, Volume
 
@@ -166,17 +164,10 @@ class SamplePlan:
         return np.take(plane[self.offsets[k]:], self.base, out=out, mode="clip")
 
     def gather(self, values: np.ndarray) -> np.ndarray:
-        """Sample (C, *dims) channel data; returns (C, *shape), channel-interleaved.
-
-        Each channel is accumulated as one contiguous plane.  The result is
-        interleaved and owns its buffer only to stay bit-identical to direct
-        sampling: numpy reuses it for ``gather(...) - x``, whose layout sets the
-        summation order of later reductions.
-        """
-        result = np.empty_like(np.moveaxis(np.empty(self.shape + (len(values),)), -1, 0))
-        rows = np.moveaxis(result, 0, -1).reshape(-1, len(values))  # a view of result
-        acc, corner = np.empty(self.base.size), np.empty(self.base.size)
-        for ch, channel in enumerate(values):
+        """Sample (C, *dims) channel data; returns C-contiguous (C, *shape)."""
+        out = np.empty((len(values), self.base.size))
+        corner = np.empty(self.base.size)
+        for acc, channel in zip(out, values):
             plane = channel.ravel()
             self._take(plane, 0, acc)
             acc *= self.weight[0]
@@ -184,8 +175,7 @@ class SamplePlan:
                 self._take(plane, k, corner)
                 corner *= self.weight[k]
                 acc += corner
-            rows[:, ch] = acc
-        return result
+        return out.reshape((len(values),) + self.shape)
 
     def scatter(self, upstream: np.ndarray) -> np.ndarray:
         """Adjoint of ``gather`` w.r.t. the values: (C, *shape) -> (C, *dims).
@@ -263,6 +253,7 @@ def activate(x: PreActivationField) -> GradientField:
     """Squash a full-resolution field into (0, 2): g = 2*sigmoid(x)."""
     if x.stride != 1:
         raise ValueError("activate expects a full-resolution field (stride 1)")
+    from scipy.special import expit
     g = 2.0 * expit(x.values)
     np.clip(g, _G_MIN, _G_MAX, out=g)
     return GradientField(g)
@@ -399,6 +390,7 @@ def det_vjp(d: np.ndarray, upstream_det: np.ndarray) -> np.ndarray:
 
 def vjp_activate(x_values: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Adjoint of activate: 2*sigma(x)*(1-sigma(x)) * upstream."""
+    from scipy.special import expit
     s = expit(x_values)
     return (2.0 * s * (1.0 - s)) * upstream
 

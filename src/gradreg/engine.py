@@ -21,6 +21,7 @@ double precision and is bit-deterministic for fixed inputs and config.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -54,14 +55,14 @@ class RegistrationConfig:
     convergence_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.control_stride < 1:
-            raise ValueError(f"control stride must be >= 1, got {self.control_stride}")
+        for key, ok, need in (
+                ("steps", self.steps >= 1, ">= 1"),
+                ("iterations", self.iterations >= 0, ">= 0"),
+                ("learning_rate", 0 < self.learning_rate < math.inf, "finite and > 0"),
+                ("control_stride", self.control_stride >= 1, ">= 1"),
+                ("convergence_tol", math.isfinite(self.convergence_tol), "finite")):
+            if not ok:
+                raise ValueError(f"config key {key!r} must be {need}, got {getattr(self, key)}")
 
     def _flat(self) -> dict:
         """The weights' fields, then every other field, as one flat mapping."""
@@ -97,7 +98,10 @@ def _typed(key: str, value, default):
     if isinstance(value, bool) or not isinstance(value, kinds):
         kind = "an integer" if kinds == (int,) else "a number"
         raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
-    return type(default)(value)
+    try:
+        return type(default)(value)
+    except OverflowError:
+        raise ValueError(f"config key {key!r} is out of range for a float") from None
 
 
 @dataclass

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import deform
 from .deform import DeformationField
@@ -73,6 +72,7 @@ def hd95(a: LabelVolume, b: LabelVolume, label: int, spacing_mm) -> float:
     boundary voxel of the other (Euclidean, spacing-scaled); the result is the
     max of the two directed nearest-rank percentiles.
     """
+    from scipy.spatial import cKDTree
     if a.dims != b.dims:
         raise ValueError(f"label volume dims mismatch: {a.dims} vs {b.dims}")
     mask_a = a.labels == label

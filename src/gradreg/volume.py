@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 PAYLOAD_DTYPES = {
     "f32": np.dtype("<f4"),
@@ -282,9 +281,6 @@ def stack_windows(v: Volume, windows: list[tuple[float, float]]) -> Volume:
     return Volume(np.stack(channels), spacing_mm=v.spacing_mm, dtype=v.dtype)
 
 
-_SIX_CONNECTED = ndimage.generate_binary_structure(3, 1)
-
-
 def largest_component(l: LabelVolume, label: int) -> LabelVolume:
     """Zero out all but the largest 6-connected component of one label.
 
@@ -292,11 +288,12 @@ def largest_component(l: LabelVolume, label: int) -> LabelVolume:
     x-fastest linear index occurring in the component.  Other labels are
     untouched; an absent label is a no-op.
     """
+    from scipy import ndimage
     mask = l.labels == label
     if label == 0 or not mask.any():
         return LabelVolume(l.labels.copy(), spacing_mm=l.spacing_mm,
                            label_names=l.label_names)
-    comp, ncomp = ndimage.label(mask, structure=_SIX_CONNECTED)
+    comp, ncomp = ndimage.label(mask, structure=ndimage.generate_binary_structure(3, 1))
     if ncomp <= 1:
         return LabelVolume(l.labels.copy(), spacing_mm=l.spacing_mm,
                            label_names=l.label_names)

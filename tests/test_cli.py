@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradreg
 from gradreg import deform
 from gradreg.cli import main
 from gradreg.deform import field_to_volume, identity_field
@@ -35,6 +40,18 @@ def run(*argv):
 
 # ---------------------------------------------------------------------------
 # parser surface
+
+
+def test_cli_import_leaves_scipy_modules_unloaded():
+    """``phantom``, ``warp`` and ``jacobian`` start without scipy's import cost."""
+    src = str(Path(gradreg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    probe = ("import sys, gradreg.cli; print(sorted("
+             "{'scipy.special', 'scipy.spatial', 'scipy.ndimage'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_help_lists_all_subcommands(capsys):
@@ -350,11 +367,14 @@ def test_gradcheck_passes(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["register", "gradcheck"])
 def test_config_value_of_wrong_type_exit_1(workdir, capsys, command):
-    (workdir / "bad.json").write_text(json.dumps(dict(TINY_CONFIG, alpha=None)))
     args = ["--fixed", workdir / "img", "--moving", workdir / "img",
             "--out-dir", workdir / "reg"] if command == "register" else ["--dims", "4,4,4"]
-    assert run(command, "--config", workdir / "bad.json", *args) == 1
-    assert "config key 'alpha' must be a number, got null" in capsys.readouterr().err
+    # a JSON integer too large for a float must not escape as an OverflowError
+    for alpha, message in ((None, "must be a number, got null"),
+                           (10**400, "is out of range for a float")):
+        (workdir / "bad.json").write_text(json.dumps(dict(TINY_CONFIG, alpha=alpha)))
+        assert run(command, "--config", workdir / "bad.json", *args) == 1
+        assert f"config key 'alpha' {message}" in capsys.readouterr().err
 
 
 def test_gradcheck_dims_too_large_exit_1(capsys):

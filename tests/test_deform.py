@@ -31,6 +31,9 @@ from gradreg.volume import LabelVolume, Volume
 from oracles import jacobian_det_oracle
 
 DIMS = (5, 5, 5)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+random_dims = st.tuples(st.integers(3, 7), st.integers(3, 7), st.integers(3, 7))
+seeds = st.integers(0, 2**32 - 1)
 
 
 def random_field(rng, dims=DIMS, scale=1.0):
@@ -322,11 +325,13 @@ def test_vjp_integrate_impulse_gives_suffix_ones():
     assert grad[0, :, 0, 0].tolist() == [1.0, 1.0, 1.0, 0.0]
 
 
-def test_vjp_activate_matches_fd():
-    rng = np.random.default_rng(12)
-    x = rng.standard_normal((3,) + DIMS)
-    upstream = rng.standard_normal((3,) + DIMS)
-    direction = rng.standard_normal((3,) + DIMS)
+@PROPERTY
+@given(seeds, random_dims)
+def test_vjp_activate_matches_fd(seed, dims):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((3,) + dims)
+    upstream = rng.standard_normal((3,) + dims)
+    direction = rng.standard_normal((3,) + dims)
 
     def f(vals):
         return float(np.sum(activate(PreActivationField(vals)).values * upstream))
@@ -404,11 +409,13 @@ def test_vjp_compose_matches_fd():
                    directional_fd(f_inner, inner.values, d_inner)) < 1e-6
 
 
-def test_jacobian_det_vjp_matches_fd():
-    rng = np.random.default_rng(18)
-    phi = random_field(rng, scale=0.8)
-    upstream = rng.standard_normal(DIMS)
-    direction = rng.standard_normal((3,) + DIMS)
+@PROPERTY
+@given(seeds, random_dims)
+def test_jacobian_det_vjp_matches_fd(seed, dims):
+    rng = np.random.default_rng(seed)
+    phi = random_field(rng, dims, scale=0.8)
+    upstream = rng.standard_normal(dims)
+    direction = rng.standard_normal((3,) + dims)
 
     def f(vals):
         return float(np.sum(jacobian_det(DeformationField(vals)).data[0] * upstream))
@@ -441,10 +448,6 @@ def test_vjp_upsample_matches_fd():
 
 # ---------------------------------------------------------------------------
 # dot-product adjoint identities <J v, u> = <v, J^T u> at random shapes
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
-random_dims = st.tuples(st.integers(3, 7), st.integers(3, 7), st.integers(3, 7))
-seeds = st.integers(0, 2**32 - 1)
 
 
 def assert_adjoint(jv, u, v, jtu):

@@ -69,13 +69,22 @@ def test_forward_zero_delta_different_volumes():
 
 def test_forward_direction_antisymmetry_bit_exact():
     rng = np.random.default_rng(2)
-    for trial in range(20):
-        a, b = random_pair(rng)
-        segs = random_segs(rng)
-        delta = PreActivationField(rng.normal(0, 1.0, (3,) + DIMS))
-        fwd = multistep_forward(a, b, [delta], WEIGHTS, segs=segs)
-        neg = PreActivationField(-delta.values)
-        rev = multistep_forward(b, a, [neg], WEIGHTS, segs=(segs[1], segs[0]))
+    # (dims, stride, steps, labels): one full-resolution step, then the control
+    # strides and step counts of the benchmark, strides not dividing every axis
+    cases = [(DIMS, 1, 1, True)] * 20 + [
+        ((9, 7, 8), stride, steps, labels)
+        for stride in (2, 3, 4) for steps in (2, 3) for labels in (False, True)
+    ]
+    for dims, stride, steps, labels in cases:
+        a, b = random_pair(rng, dims)
+        segs = random_segs(rng, dims) if labels else None
+        control = deform.control_dims_for(dims, stride)
+        deltas = [PreActivationField(rng.normal(0, 1.0, (3,) + control), stride=stride)
+                  for _ in range(steps)]
+        fwd = multistep_forward(a, b, deltas, WEIGHTS, segs=segs)
+        neg = [PreActivationField(-d.values, stride=stride) for d in deltas]
+        rev_segs = None if segs is None else segs[::-1]
+        rev = multistep_forward(b, a, neg, WEIGHTS, segs=rev_segs)
         for term in ("sim", "seg", "reg", "jac", "inv", "total"):
             assert getattr(fwd.breakdown, term) == getattr(rev.breakdown, term)
         assert np.array_equal(fwd.phi_ab.values, rev.phi_ba.values)
@@ -362,6 +371,10 @@ def test_config_rejects_unknown_keys():
     ('{"alpha": null}', "alpha"),
     ('{"steps": [2]}', "steps"),
     ('{"learning_rate": false}', "learning_rate"),
+    pytest.param('{"alpha": 1' + "0" * 400 + '}', "alpha", id="alpha-too-large-for-a-float"),
+    ('{"learning_rate": Infinity}', "learning_rate"),
+    ('{"learning_rate": NaN}', "learning_rate"),
+    ('{"convergence_tol": NaN}', "convergence_tol"),
 ])
 def test_config_rejects_values_of_the_wrong_json_type(text, key):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
