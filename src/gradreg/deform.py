@@ -11,15 +11,17 @@ Every differentiable stage has an exact vector-Jacobian product (``vjp_*``)
 used by the optimizer; the adjoints treat clamped sample coordinates as
 constant (zero gradient).
 
-All trilinear sampling runs through one kernel, ``SamplePlan``: the flat
-index of each sample's lowest corner (N,) intp, the eight constant flat corner
+All trilinear sampling at a deformation field runs through one kernel,
+``SamplePlan``, built from the field's (3, *dims) coordinates: the flat index
+of each sample's lowest corner (N,) intp, the eight constant flat corner
 offsets, corner weights (8, N) f64, fractional offsets (3, N) f64 and the
 inside-mask (3, N) bool, 99 bytes per sample.  Every pass runs over one
 contiguous (N,) channel plane at a time, and every field, gradient and warp is
 a C-contiguous stack of such planes.  A ``DeformationField`` builds its plan
 when first sampled at and keeps it for its lifetime, so every warp,
 composition and adjoint at that field shares it; ``values`` must not change
-afterwards.
+afterwards.  ``vjp_sample`` is the whole adjoint at one field in one sweep.
+``upsample`` uses no plan: it runs one two-tap hat-weight pass per axis.
 """
 
 from __future__ import annotations
@@ -123,8 +125,8 @@ def control_dims_for(image_dims, stride: int) -> tuple[int, int, int]:
 
 
 class SamplePlan:
-    """Trilinear samples at three broadcastable coordinate arrays into a grid of
-    ``dims``, each clamped to [0, n-1]; corners are ordered x-major, z-minor.
+    """Trilinear samples at coordinates (3, *shape) into a grid of ``dims``,
+    each clamped to [0, n-1]; corners are ordered x-major, z-minor.
 
     Corner k of a sample sits at ``base + offsets[k]`` in a flat channel plane.
     An axis with one voxel has offset 0, so its upper corner repeats the lower.
@@ -132,32 +134,24 @@ class SamplePlan:
 
     def __init__(self, coords, dims):
         self.dims = nx, ny, nz = tuple(int(n) for n in dims)
-        self.shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
-        lows, fracs = [], []
-        for c, n in zip(coords, self.dims):
-            s = np.clip(c, 0.0, float(n - 1))
-            i0 = np.floor(s).astype(np.intp)
-            np.clip(i0, 0, max(n - 2, 0), out=i0)
-            lows.append(i0)
-            fracs.append(s - i0)
-        ix, iy, iz = lows
-        base = np.empty(self.shape, dtype=np.intp)
-        np.add((ix * ny + iy) * nz, iz, out=base)
-        self.base = base.ravel()
+        coords = np.asarray(coords, dtype=np.float64)
+        self.shape = coords.shape[1:]
+        flat = coords.reshape(3, -1)
+        top = np.array(self.dims, dtype=np.float64)[:, None] - 1.0
+        self.frac = np.clip(flat, 0.0, top)
+        low = self.frac.astype(np.intp)  # the floor, as the clipped coordinates are >= 0
+        np.clip(low, 0, np.maximum(top.astype(np.intp) - 1, 0), out=low)
+        ix, iy, iz = low
+        self.base = (ix * ny + iy) * nz + iz
         sx, sy, sz = (step if n > 1 else 0 for step, n in zip((ny * nz, nz, 1), self.dims))
         self.offsets = tuple(a * sx + b * sy + c * sz
                              for a in (0, 1) for b in (0, 1) for c in (0, 1))
-        fx, fy, fz = self.frac = tuple(fracs)
-        self.inside = tuple((c >= 0.0) & (c <= n - 1.0) for c, n in zip(coords, self.dims))
-        weight = np.empty((8,) + self.shape)
-        k = 0
-        for wa in (1.0 - fx, fx):
-            for wb in (1.0 - fy, fy):
-                wab = wa * wb
-                for wc in (1.0 - fz, fz):
-                    np.multiply(wab, wc, out=weight[k])
-                    k += 1
-        self.weight = weight.reshape(8, -1)
+        self.frac -= low
+        self.inside = (flat >= 0.0) & (flat <= top)
+        wx, wy, wz = ((1.0 - f, f) for f in self.frac)
+        self.weight = np.empty((8, self.base.size))
+        for k in range(8):
+            np.multiply(wx[k >> 2] * wy[(k >> 1) & 1], wz[k & 1], out=self.weight[k])
 
     def _take(self, plane: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
         """Corner k of every sample from one flat, contiguous channel plane."""
@@ -177,34 +171,33 @@ class SamplePlan:
                 acc += corner
         return out.reshape((len(values),) + self.shape)
 
-    def scatter(self, upstream: np.ndarray) -> np.ndarray:
-        """Adjoint of ``gather`` w.r.t. the values: (C, *shape) -> (C, *dims).
-
-        One ``bincount`` per channel over all eight corners in corner-major order.
-        """
+    def scatter(self, upstream) -> np.ndarray:
+        """Adjoint of ``gather`` w.r.t. the values: C channels -> (C, *dims), one
+        ``bincount`` per channel over one corner-major index of all eight corners."""
         index = np.add.outer(np.array(self.offsets, dtype=np.intp), self.base).ravel()
         weights = np.empty_like(self.weight)
-        out = np.empty((upstream.shape[0],) + self.dims)
-        for ch, up in enumerate(upstream.reshape(upstream.shape[0], -1)):
-            np.multiply(self.weight, up, out=weights)
-            out[ch] = np.bincount(index, weights.ravel(), out[ch].size).reshape(self.dims)
+        out = np.empty((len(upstream),) + self.dims)
+        for acc, up in zip(out, upstream):
+            np.multiply(self.weight, up.ravel(), out=weights)
+            acc[...] = np.bincount(index, weights.ravel(), acc.size).reshape(self.dims)
         return out
 
-    def coords_grad(self, values: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-        """Adjoint of ``gather`` w.r.t. the coordinates, zero where clamped."""
+    def coords_grad(self, values, upstream) -> np.ndarray:
+        """Adjoint of ``gather`` w.r.t. the coordinates, zero where clamped.  The
+        channel dot product comes before the weight terms: one pass for any C."""
         planes = [channel.ravel() for channel in values]
-        up = upstream.reshape(len(planes), -1)
+        ups = [channel.ravel() for channel in upstream]
         corner = np.empty((len(planes), self.base.size))
-        dotted, term = np.empty(self.shape), np.empty(self.shape)
+        dotted, term = np.empty(self.base.size), np.empty(self.base.size)
         wx, wy, wz = ((1.0 - f, f) for f in self.frac)
-        grad = np.zeros((3,) + self.shape)
+        grad = np.zeros((3, self.base.size))
         gx, gy, gz = grad
         for k in range(8):
             a, b, c = k >> 2, (k >> 1) & 1, k & 1
-            for plane, out in zip(planes, corner):
+            for plane, up, out in zip(planes, ups, corner):
                 self._take(plane, k, out)
-            corner *= up
-            np.sum(corner, axis=0, out=dotted.reshape(-1))
+                out *= up
+            np.sum(corner, axis=0, out=dotted)
             # the low corner's weight falls as its coordinate grows
             for g, w1, w2, rising in ((gx, wy[b], wz[c], a), (gy, wx[a], wz[c], b),
                                       (gz, wx[a], wy[b], c)):
@@ -216,14 +209,15 @@ class SamplePlan:
                     g -= term
         for axis in range(3):
             grad[axis] *= self.inside[axis]
-        return grad
+        return grad.reshape((3,) + self.shape)
 
 
-def _grid_plan(image_dims, stride: int, control_dims) -> SamplePlan:
-    """Plan sampling the control grid at every image voxel (broadcast coordinates)."""
-    cx, cy, cz = (np.arange(n, dtype=np.float64) / float(stride) for n in image_dims)
-    return SamplePlan((cx[:, None, None], cy[None, :, None], cz[None, None, :]),
-                      control_dims)
+def _hat_weights(n: int, stride: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each voxel's lower control point along an axis and the upper one's weight;
+    control point j sits at voxel j*stride, and voxels past the last take its value."""
+    t = np.minimum(np.arange(n, dtype=np.float64) / float(stride), float(m - 1))
+    low = np.minimum(np.floor(t).astype(np.intp), max(m - 2, 0))
+    return low, t - low
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +228,8 @@ def upsample(delta: PreActivationField, image_dims) -> PreActivationField:
     """Trilinearly interpolate a coarse control field to full resolution.
 
     Exact at control points; the trailing partial cell (when stride does not
-    divide the image dims) extends the last control value.
-    """
+    divide the image dims) extends the last control value.  One two-tap
+    hat-weight pass per axis (linear free-form deformation)."""
     image_dims = tuple(int(n) for n in image_dims)
     expected = control_dims_for(image_dims, delta.stride)
     if delta.control_dims != expected:
@@ -245,7 +239,17 @@ def upsample(delta: PreActivationField, image_dims) -> PreActivationField:
         )
     if delta.stride == 1:
         return PreActivationField(delta.values, stride=1)
-    full = _grid_plan(image_dims, delta.stride, delta.control_dims).gather(delta.values)
+    full = delta.values
+    for axis in (2, 1, 0):  # the last pass, at full size, writes whole contiguous planes
+        n, m = image_dims[axis], delta.control_dims[axis]
+        low, frac = _hat_weights(n, delta.stride, m)
+        out = np.empty(full.shape[:axis + 1] + (n,) + full.shape[axis + 2:])
+        src, dst = np.moveaxis(full, axis + 1, 0), np.moveaxis(out, axis + 1, 0)
+        for row, j, f in zip(dst, low, frac):
+            np.multiply(src[j], 1.0 - f, out=row)
+            if f:
+                row += src[j + 1] * f
+        full = out
     return PreActivationField(full, stride=1)
 
 
@@ -273,14 +277,7 @@ def integrate(g: GradientField) -> DeformationField:
 
 def identity_field(dims) -> DeformationField:
     """The identity transformation Phi(p) = p."""
-    nx, ny, nz = (int(n) for n in dims)
-    grids = np.meshgrid(
-        np.arange(nx, dtype=np.float64),
-        np.arange(ny, dtype=np.float64),
-        np.arange(nz, dtype=np.float64),
-        indexing="ij",
-    )
-    return DeformationField(np.stack(grids))
+    return DeformationField(np.indices(tuple(int(n) for n in dims), dtype=np.float64))
 
 
 def warp(img: Volume, phi: DeformationField) -> Volume:
@@ -404,28 +401,45 @@ def vjp_integrate(upstream: np.ndarray) -> np.ndarray:
     return grad
 
 
-def vjp_warp(img: Volume, phi: DeformationField, upstream: np.ndarray) -> np.ndarray:
-    """Adjoint of warp w.r.t. the deformation coordinates."""
-    return phi.plan.coords_grad(img.data, upstream)
+def vjp_sample(phi: DeformationField, sources, upstreams, scatter):
+    """Adjoint of sampling every source at ``phi``, in one sweep of its plan.
 
-
-def vjp_warp_both(img: Volume, phi: DeformationField,
-                  upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoints of warp w.r.t. (image data, deformation coordinates)."""
-    return phi.plan.scatter(upstream), phi.plan.coords_grad(img.data, upstream)
-
-
-def vjp_compose(outer: DeformationField, inner: DeformationField,
-                upstream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Adjoint of compose w.r.t. (outer, inner) coordinate fields."""
-    return inner.plan.scatter(upstream), inner.plan.coords_grad(outer.values, upstream)
+    ``sources`` are the (C, *dims) arrays sampled there (warped volumes, the
+    outer field of a composition), ``upstreams`` their cotangents.  Returns the
+    coordinate gradient, one pass over all their channels, and from one scatter
+    the value gradient of each source whose ``scatter`` flag is set, else None.
+    """
+    plan = phi.plan
+    coords = plan.coords_grad([c for s in sources for c in s],
+                              [c for u in upstreams for c in u])
+    wanted = [u for u, s in zip(upstreams, scatter) if s]
+    scattered = plan.scatter([c for u in wanted for c in u]) if wanted else None
+    values, start = [], 0
+    for u, s in zip(upstreams, scatter):
+        values.append(scattered[start:start + len(u)] if s else None)
+        start += len(u) if s else 0
+    return coords, values
 
 
 def vjp_upsample(upstream: np.ndarray, stride: int, control_dims) -> np.ndarray:
-    """Adjoint of upsample: scatter full-resolution gradients to control points."""
+    """Adjoint of upsample: the transposed hat-weight passes, in reverse order."""
     if stride == 1:
         return upstream.copy()
-    return _grid_plan(upstream.shape[1:], stride, control_dims).scatter(upstream)
+    grad = upstream
+    for axis in (0, 1, 2):
+        n, m = grad.shape[axis + 1], int(control_dims[axis])
+        low, frac = _hat_weights(n, stride, m)
+        out = np.zeros(grad.shape[:axis + 1] + (m,) + grad.shape[axis + 2:])
+        src, dst = np.moveaxis(grad, axis + 1, 0), np.moveaxis(out, axis + 1, 0)
+        term = np.empty_like(src[0])
+        for row, j, f in zip(src, low, frac):
+            np.multiply(row, 1.0 - f, out=term)
+            dst[j] += term
+            if f:
+                np.multiply(row, f, out=term)
+                dst[j + 1] += term
+        grad = out
+    return grad
 
 
 # ---------------------------------------------------------------------------

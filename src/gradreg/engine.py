@@ -11,11 +11,13 @@ re-applying a saved field reproduces the saved warp; the sequential per-step
 warps the losses see stay in the run's ``steps``.  The registration result is
 the final forward pass plus the optimization history.
 
-Gradients are exact reverse-mode vector-Jacobian products chained through
-warp -> integrate -> activate -> upsample for every step and direction,
-including the finite-difference determinant path of the Jacobian penalty and
-the composition path of the inverse-consistency penalty.  Everything runs in
-double precision and is bit-deterministic for fixed inputs and config.
+The forward pass computes values only; the backward pass runs the loss
+pullbacks.  Gradients are exact reverse-mode vector-Jacobian products chained
+through warp -> integrate -> activate -> upsample for every step and
+direction, including the finite-difference determinant path of the Jacobian
+penalty and the composition path of the inverse-consistency penalty.  Each
+step field gets one adjoint sweep over everything sampled at it.  Everything
+runs in double precision and is bit-deterministic for fixed inputs and config.
 """
 
 from __future__ import annotations
@@ -235,10 +237,13 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
     return MultistepForward(steps, breakdown, a, b)
 
 
-# Each warped input of a step by its breakdown gradient name, with the field
-# that warps it; per field the image comes before the segmentation.
-_WARPS = (("a_warp", "phi_ab"), ("a_seg_warp", "phi_ab"),
-          ("b_warp", "phi_ba"), ("b_seg_warp", "phi_ba"))
+# What each step field samples, by the cotangent key of the result, in the
+# same order for both directions: the warped image, the warped one-hot labels
+# and the other field, as the outer map of a loss_inv composition.
+_SAMPLED = {"phi_ab": ("a_warp", "a_seg_warp", "compose_ba_ab"),
+            "phi_ba": ("b_warp", "b_seg_warp", "compose_ab_ba")}
+# the outer field of each composition, which gets its value gradient
+_OUTER = {"compose_ab_ba": "phi_ab", "compose_ba_ab": "phi_ba"}
 
 
 def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
@@ -250,33 +255,36 @@ def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
     grads: list[np.ndarray | None] = [None] * len(steps)
     for k in range(len(steps) - 1, -1, -1):
         step = steps[k]
-        bd = step.breakdown.grads
-        upstream = {key: bd[key] for key, _ in _WARPS if key in bd}
+        cot = step.breakdown.cotangents()
         for key, g in carry.items():
-            upstream[key] = upstream[key] + g if key in upstream else g
-        gphi = {key: bd[key].copy() if key in bd else np.zeros_like(getattr(step, key).values)
-                for key in ("phi_ab", "phi_ba")}
-        carry = {}
-        for key, phi_key in _WARPS:
-            if key not in upstream:
-                continue
-            phi = getattr(step, phi_key)
-            # the image-side gradient only matters if an earlier step feeds it
-            if k > 0:
-                carry[key], coords_grad = deform.vjp_warp_both(
-                    getattr(steps[k - 1], key), phi, upstream[key])
-            else:
-                coords_grad = deform.vjp_warp(inputs[key], phi, upstream[key])
-            gphi[phi_key] += coords_grad
+            cot[key] = cot[key] + g if key in cot else g
+        # what this step warped; its value gradients only matter if an earlier step made it
+        warped = inputs if k == 0 else {key: getattr(steps[k - 1], key) for key in inputs}
+        gphi, values = {}, {}
+        for phi_key, keys in _SAMPLED.items():
+            used = [key for key in keys if key in cot]
+            sources = [getattr(step, _OUTER[key]).values if key in _OUTER
+                       else warped[key].data for key in used]
+            gphi[phi_key], grads_k = deform.vjp_sample(
+                getattr(step, phi_key), sources, [cot.pop(key) for key in used],
+                [k > 0 or key in _OUTER for key in used])
+            values.update(zip(used, grads_k))
+        carry = {key: values[key] for key in inputs if values.get(key) is not None}
+        # each field's value gradient as an outer map, then its Jacobian-hinge cotangent
+        for key, phi_key in _OUTER.items():
+            if key in values:
+                gphi[phi_key] += values[key]
+            if phi_key in cot:
+                gphi[phi_key] += cot[phi_key]
 
         step.phi_ab.drop_plan()  # nothing samples at this step's fields again
         step.phi_ba.drop_plan()
         gg_ab = deform.vjp_integrate(gphi["phi_ab"])
-        if "g_ab" in bd:
-            gg_ab += bd["g_ab"]
+        if "g_ab" in cot:
+            gg_ab += cot["g_ab"]
         gg_ba = deform.vjp_integrate(gphi["phi_ba"])
-        if "g_ba" in bd:
-            gg_ba += bd["g_ba"]
+        if "g_ba" in cot:
+            gg_ba += cot["g_ba"]
 
         x_full = step.x.values
         gx = deform.vjp_activate(x_full, gg_ab) - deform.vjp_activate(-x_full, gg_ba)
@@ -368,62 +376,35 @@ def gradient_check(dims, config: RegistrationConfig, seed: int = 0) -> dict[str,
     rng = np.random.default_rng(seed)
     a = Volume(rng.uniform(0.0, 1.0, (1,) + dims), dtype="f64")
     b = Volume(rng.uniform(0.0, 1.0, (1,) + dims), dtype="f64")
-    a_seg = one_hot(LabelVolume(rng.integers(0, 3, dims)), [1, 2])
-    b_seg = one_hot(LabelVolume(rng.integers(0, 3, dims)), [1, 2])
-    segs = (a_seg, b_seg)
+    segs = tuple(one_hot(LabelVolume(rng.integers(0, 3, dims)), [1, 2]) for _ in range(2))
     control = deform.control_dims_for(dims, config.control_stride)
-    deltas = [
-        PreActivationField(rng.normal(0.0, 1.5, (3,) + control),
-                           stride=config.control_stride)
-        for _ in range(config.steps)
-    ]
+    deltas = [PreActivationField(rng.normal(0.0, 1.5, (3,) + control),
+                                 stride=config.control_stride) for _ in range(config.steps)]
+    h = 1e-6
 
-    def objective(trial_deltas, weights):
-        run = multistep_forward(a, b, trial_deltas, weights, segs=segs)
-        return run.breakdown.total
+    def central_difference(weights, k: int, i: int) -> float:
+        totals = []
+        for step in (h, -h):
+            bumped = deltas[k].values.copy()
+            bumped.flat[i] += step
+            trial = list(deltas)
+            trial[k] = PreActivationField(bumped, stride=deltas[k].stride)
+            totals.append(multistep_forward(a, b, trial, weights, segs=segs).breakdown.total)
+        return (totals[0] - totals[1]) / (2.0 * h)
 
     def max_rel_error(weights) -> float:
-        cfg = replace(config, weights=weights)
-        _, grads = objective_and_gradient(a, b, deltas, cfg, segs=segs)
-        h = 1e-6
-        worst = 0.0
-        fd_scale = 0.0
-        analytic_scale = max(float(np.max(np.abs(g))) for g in grads)
-        fd_all = []
-        for k, delta in enumerate(deltas):
-            fd = np.zeros_like(delta.values)
-            flat = fd.reshape(-1)
-            base = delta.values.reshape(-1)
-            for i in range(flat.size):
-                bumped = base.copy()
-                bumped[i] = base[i] + h
-                plus = objective(_with(deltas, k, bumped.reshape(delta.values.shape)),
-                                 weights)
-                bumped[i] = base[i] - h
-                minus = objective(_with(deltas, k, bumped.reshape(delta.values.shape)),
-                                  weights)
-                flat[i] = (plus - minus) / (2.0 * h)
-            fd_all.append(fd)
-            fd_scale = max(fd_scale, float(np.max(np.abs(fd))))
-        if max(fd_scale, analytic_scale) < 1e-12:
+        _, grads = objective_and_gradient(a, b, deltas, replace(config, weights=weights),
+                                          segs=segs)
+        fds = [np.reshape([central_difference(weights, k, i) for i in range(d.values.size)],
+                          d.values.shape) for k, d in enumerate(deltas)]
+        fd_scale = max(float(np.max(np.abs(fd))) for fd in fds)
+        if max(fd_scale, max(float(np.max(np.abs(g))) for g in grads)) < 1e-12:
             return 0.0
-        for g, fd in zip(grads, fd_all):
-            worst = max(worst, float(np.max(np.abs(g - fd))))
+        worst = max(float(np.max(np.abs(g - fd))) for g, fd in zip(grads, fds))
         return worst / max(fd_scale, 1e-12)
 
-    term_weights = {
-        "sim": LossWeights(1, 0, 0, 0, 0),
-        "seg": LossWeights(0, 1, 0, 0, 0),
-        "reg": LossWeights(0, 0, 1, 0, 0),
-        "jac": LossWeights(0, 0, 0, 1, 0),
-        "inv": LossWeights(0, 0, 0, 0, 1),
-    }
-    report = {name: max_rel_error(w) for name, w in term_weights.items()}
+    report = {term: max_rel_error(LossWeights(**{f.name: float(f is weight)
+                                                 for f in fields(LossWeights)}))
+              for term, weight in zip(("sim", "seg", "reg", "jac", "inv"), fields(LossWeights))}
     report["all"] = max_rel_error(config.weights)
     return report
-
-
-def _with(deltas: list[PreActivationField], k: int, values: np.ndarray):
-    out = list(deltas)
-    out[k] = PreActivationField(values, stride=deltas[k].stride)
-    return out

@@ -1,14 +1,16 @@
 """The five registration loss terms and their weighted combination.
 
 Each term is a symmetric sum over both warp directions, normalized to a
-per-element mean so the weights are resolution independent, and returns its
-value together with exact gradients w.r.t. its direct field inputs (keyed by
-argument name).  All terms are nonnegative and exactly zero on the
+per-element mean so the weights are resolution independent.  A term computes
+its value and returns it with a pullback, a function of no arguments giving
+the term's exact cotangents w.r.t. its direct inputs (keyed by name); only the
+backward pass runs it.  All terms are nonnegative and exactly zero on the
 all-identity configuration.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +41,7 @@ class LossWeights:
 
 @dataclass
 class LossBreakdown:
-    """Per-term values, their weighted total, and merged input gradients."""
+    """Per-term values, their weighted total, and the weighted term pullbacks."""
 
     sim: float
     seg: float
@@ -47,17 +49,23 @@ class LossBreakdown:
     jac: float
     inv: float
     total: float
-    grads: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
+    pullbacks: list[tuple[float, Callable]] = field(default_factory=list, repr=False)
+
+    def cotangents(self) -> dict[str, np.ndarray]:
+        """Run each pullback once and release what it kept; the weighted
+        cotangents, merged per input key."""
+        grads: dict[str, np.ndarray] = {}
+        while self.pullbacks:
+            w, pullback = self.pullbacks.pop(0)
+            for key, g in pullback().items():
+                grads[key] = grads[key] + w * g if key in grads else w * g
+        return grads
+
+    def __getstate__(self):  # a pickled breakdown keeps its values, not the closures
+        return {**self.__dict__, "pullbacks": []}
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "sim": self.sim,
-            "seg": self.seg,
-            "reg": self.reg,
-            "jac": self.jac,
-            "inv": self.inv,
-            "total": self.total,
-        }
+        return {key: getattr(self, key) for key in ("sim", "seg", "reg", "jac", "inv", "total")}
 
 
 def _check_same_shape(kind: str, *arrays: np.ndarray) -> None:
@@ -73,22 +81,17 @@ def loss_sim(a_warp: Volume, b: Volume, b_warp: Volume, a: Volume):
     d_ba = b_warp.data - a.data
     n = d_ab.size
     value = float(np.mean(d_ab * d_ab)) + float(np.mean(d_ba * d_ba))
-    grads = {"a_warp": (2.0 / n) * d_ab, "b_warp": (2.0 / n) * d_ba}
-    return value, grads
+    return value, lambda: {"a_warp": (2.0 / n) * d_ab, "b_warp": (2.0 / n) * d_ba}
 
 
 def _soft_dice_direction(p: np.ndarray, q: np.ndarray):
-    """Channel-mean soft Dice loss of warped one-hot p against target q."""
-    channels = p.shape[0]
-    value = 0.0
-    grad_p = np.empty_like(p)
-    for c in range(channels):
-        inter = float(np.sum(p[c] * q[c]))
-        den = float(np.sum(p[c])) + float(np.sum(q[c])) + DICE_SMOOTH
-        num = 2.0 * inter + DICE_SMOOTH
-        value += 1.0 - num / den
-        grad_p[c] = -(2.0 * q[c] * den - num) / (den * den)
-    return value / channels, grad_p / channels
+    """Channel-mean soft Dice loss of warped one-hot p against target q, and
+    its gradient w.r.t. p as a function."""
+    fractions = [(2.0 * float(np.sum(pc * qc)) + DICE_SMOOTH,
+                  float(np.sum(pc)) + float(np.sum(qc)) + DICE_SMOOTH) for pc, qc in zip(p, q)]
+    value = sum(1.0 - num / den for num, den in fractions) / len(p)
+    return value, lambda: np.stack([-(2.0 * qc * den - num) / (den * den)
+                                    for qc, (num, den) in zip(q, fractions)]) / len(p)
 
 
 def loss_seg(a_seg_warp: Volume, b_seg: Volume, b_seg_warp: Volume, a_seg: Volume):
@@ -101,7 +104,7 @@ def loss_seg(a_seg_warp: Volume, b_seg: Volume, b_seg_warp: Volume, a_seg: Volum
             )
     v_ab, g_ab = _soft_dice_direction(a_seg_warp.data, b_seg.data)
     v_ba, g_ba = _soft_dice_direction(b_seg_warp.data, a_seg.data)
-    return v_ab + v_ba, {"a_seg_warp": g_ab, "b_seg_warp": g_ba}
+    return v_ab + v_ba, lambda: {"a_seg_warp": g_ab(), "b_seg_warp": g_ba()}
 
 
 def loss_reg(g_ab: GradientField, g_ba: GradientField):
@@ -111,25 +114,30 @@ def loss_reg(g_ab: GradientField, g_ba: GradientField):
     d_ba = g_ba.values - 1.0
     n = d_ab.size
     value = float(np.mean(d_ab * d_ab)) + float(np.mean(d_ba * d_ba))
-    return value, {"g_ab": (2.0 / n) * d_ab, "g_ba": (2.0 / n) * d_ba}
+    return value, lambda: {"g_ab": (2.0 / n) * d_ab, "g_ba": (2.0 / n) * d_ba}
 
 
 def loss_jac(phi_ab: DeformationField, phi_ba: DeformationField):
     """Mean hinge on negative Jacobian determinants, both directions.
 
     Subgradient at a zero determinant is zero; gradients propagate through the
-    finite-difference determinant stencil.
+    finite-difference determinant stencil.  The pullback keeps only each
+    field's folded-voxel mask and gives a cotangent only for a field that
+    folds (it is zero elsewhere), rebuilding that field's Jacobian matrix.
     """
     _check_same_shape("jacobian", phi_ab.values, phi_ba.values)
     n = float(np.prod(phi_ab.dims))
     value = 0.0
-    grads = {}
+    folded = {}
     for key, phi in (("phi_ab", phi_ab), ("phi_ba", phi_ba)):
-        matrix = deform.jacobian_matrix(phi)
-        det = deform.det3x3(matrix)
+        det = deform.det3x3(deform.jacobian_matrix(phi))
         value += float(np.sum(np.maximum(0.0, -det))) / n
-        grads[key] = deform.det_vjp(matrix, np.where(det < 0.0, -1.0 / n, 0.0))
-    return value, grads
+        mask = det < 0.0
+        if mask.any():
+            folded[key] = (phi, mask)
+    return value, lambda: {
+        key: deform.det_vjp(deform.jacobian_matrix(phi), np.where(mask, -1.0 / n, 0.0))
+        for key, (phi, mask) in folded.items()}
 
 
 def loss_inv(phi_ab: DeformationField, phi_ba: DeformationField,
@@ -137,7 +145,10 @@ def loss_inv(phi_ab: DeformationField, phi_ba: DeformationField,
     """Mean squared residual of both compositions against the identity map.
 
     ``interior_margin`` excludes a border shell of that many voxels from the
-    mean (and its gradients); the default 0 evaluates everywhere.
+    mean (and its gradients); the default 0 evaluates everywhere.  The
+    pullback gives the cotangents of the two compositions, ``compose_ab_ba``
+    of ``compose(phi_ab, phi_ba)`` and ``compose_ba_ab`` of
+    ``compose(phi_ba, phi_ab)``; the backward pass carries them to the fields.
     """
     _check_same_shape("inverse-consistency", phi_ab.values, phi_ba.values)
     dims = phi_ab.dims
@@ -153,17 +164,15 @@ def loss_inv(phi_ab: DeformationField, phi_ba: DeformationField,
         mask = None
         count = float(ident.size)
 
-    def one_direction(outer: DeformationField, inner: DeformationField):
+    def residual(outer: DeformationField, inner: DeformationField):
         resid = deform.compose(outer, inner).values - ident
-        if mask is not None:
-            resid = resid * mask
-        value = float(np.sum(resid * resid)) / count
-        upstream = (2.0 / count) * resid
-        return value, deform.vjp_compose(outer, inner, upstream)
+        return resid if mask is None else resid * mask
 
-    v1, (go1, gi1) = one_direction(phi_ab, phi_ba)
-    v2, (go2, gi2) = one_direction(phi_ba, phi_ab)
-    return v1 + v2, {"phi_ab": go1 + gi2, "phi_ba": gi1 + go2}
+    r_ab, r_ba = residual(phi_ab, phi_ba), residual(phi_ba, phi_ab)
+    value = float(np.sum(r_ab * r_ab)) / count + float(np.sum(r_ba * r_ba)) / count
+    r_ab *= 2.0 / count  # from here on the residuals are the cotangents
+    r_ba *= 2.0 / count
+    return value, lambda: {"compose_ab_ba": r_ab, "compose_ba_ab": r_ba}
 
 
 def loss_total(
@@ -181,22 +190,22 @@ def loss_total(
     b_seg_warp: Volume | None = None,
     a_seg: Volume | None = None,
 ) -> LossBreakdown:
-    """Weighted five-term loss with merged gradients.
+    """Weighted five-term loss, keeping the pullback of every term with a nonzero weight.
 
     Omitting the segmentation inputs forces the beta term to zero
     (unsupervised mode).
     """
-    sim, sim_g = loss_sim(a_warp, b, b_warp, a)
+    sim, sim_pb = loss_sim(a_warp, b, b_warp, a)
     seg_inputs = (a_seg_warp, b_seg, b_seg_warp, a_seg)
     if any(s is not None for s in seg_inputs):
         if any(s is None for s in seg_inputs):
             raise ValueError("segmentation inputs must be given all together or not at all")
-        seg, seg_g = loss_seg(a_seg_warp, b_seg, b_seg_warp, a_seg)
+        seg, seg_pb = loss_seg(a_seg_warp, b_seg, b_seg_warp, a_seg)
     else:
-        seg, seg_g = 0.0, {}
-    reg, reg_g = loss_reg(g_ab, g_ba)
-    jac, jac_g = loss_jac(phi_ab, phi_ba)
-    inv, inv_g = loss_inv(phi_ab, phi_ba)
+        seg, seg_pb = 0.0, None
+    reg, reg_pb = loss_reg(g_ab, g_ba)
+    jac, jac_pb = loss_jac(phi_ab, phi_ba)
+    inv, inv_pb = loss_inv(phi_ab, phi_ba)
     total = (
         weights.alpha * sim
         + weights.beta * seg
@@ -204,20 +213,9 @@ def loss_total(
         + weights.delta * jac
         + weights.epsilon * inv
     )
-    grads: dict[str, np.ndarray] = {}
-    for w, term_grads in (
-        (weights.alpha, sim_g),
-        (weights.beta, seg_g),
-        (weights.gamma, reg_g),
-        (weights.delta, jac_g),
-        (weights.epsilon, inv_g),
-    ):
-        if w == 0.0:
-            continue
-        for key, g in term_grads.items():
-            if key in grads:
-                grads[key] = grads[key] + w * g
-            else:
-                grads[key] = w * g
+    pullbacks = [(w, pb) for w, pb in ((weights.alpha, sim_pb), (weights.beta, seg_pb),
+                                       (weights.gamma, reg_pb), (weights.delta, jac_pb),
+                                       (weights.epsilon, inv_pb))
+                 if w != 0.0 and pb is not None]
     return LossBreakdown(sim=sim, seg=seg, reg=reg, jac=jac, inv=inv,
-                         total=total, grads=grads)
+                         total=total, pullbacks=pullbacks)

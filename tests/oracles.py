@@ -196,11 +196,17 @@ def sample_vjp_ref(values, shape, coords, upstream):
 
 
 def grid_coords_ref(image_dims, stride):
+    """Control-grid coordinates of every image voxel, as broadcastable lines."""
     nx, ny, nz = image_dims
     s = float(stride)
     return ((np.arange(nx, dtype=np.float64) / s)[:, None, None],
             (np.arange(ny, dtype=np.float64) / s)[None, :, None],
             (np.arange(nz, dtype=np.float64) / s)[None, None, :])
+
+
+def upsample_ref(values, image_dims, stride):
+    """Upsample as one trilinear gather of the control grid at every voxel."""
+    return sample_trilinear_ref(values, *grid_coords_ref(image_dims, stride))
 
 
 def vjp_upsample_ref(upstream, stride, control_dims):

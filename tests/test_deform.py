@@ -19,11 +19,9 @@ from gradreg.deform import (
     jacobian_matrix,
     upsample,
     vjp_activate,
-    vjp_compose,
     vjp_integrate,
+    vjp_sample,
     vjp_upsample,
-    vjp_warp,
-    vjp_warp_both,
     warp,
     warp_labels,
 )
@@ -315,7 +313,9 @@ def test_vjp_zero_upstream_is_zero():
     assert np.all(vjp_integrate(zero) == 0.0)
     img = Volume(rng.uniform(0, 1, (1,) + DIMS), dtype="f64")
     phi = random_field(rng)
-    assert np.all(vjp_warp(img, phi, np.zeros((1,) + DIMS)) == 0.0)
+    coords_grad, (values_grad,) = vjp_sample(phi, [img.data], [np.zeros((1,) + DIMS)], [True])
+    assert np.all(coords_grad == 0.0)
+    assert np.all(values_grad == 0.0)
 
 
 def test_vjp_integrate_impulse_gives_suffix_ones():
@@ -365,7 +365,8 @@ def test_vjp_warp_matches_fd():
     def f(vals):
         return float(np.sum(warp(img, DeformationField(vals)).data * upstream))
 
-    analytic = float(np.sum(vjp_warp(img, phi, upstream) * direction))
+    coords_grad, _ = vjp_sample(phi, [img.data], [upstream], [False])
+    analytic = float(np.sum(coords_grad * direction))
     fd = directional_fd(f, phi.values, direction)
     assert rel_err(analytic, fd) < 1e-6
 
@@ -382,7 +383,7 @@ def test_vjp_warp_image_matches_fd():
             np.sum(warp(Volume(vals, dtype="f64"), phi).data * upstream)
         )
 
-    values_grad, _ = vjp_warp_both(Volume(img_vals, dtype="f64"), phi, upstream)
+    _, (values_grad,) = vjp_sample(phi, [img_vals], [upstream], [True])
     analytic = float(np.sum(values_grad * direction))
     fd = directional_fd(f, img_vals, direction)
     assert rel_err(analytic, fd) < 1e-6
@@ -395,7 +396,7 @@ def test_vjp_compose_matches_fd():
     upstream = rng.standard_normal((3,) + DIMS)
     d_outer = rng.standard_normal((3,) + DIMS)
     d_inner = rng.standard_normal((3,) + DIMS)
-    go, gi = vjp_compose(outer, inner, upstream)
+    gi, (go,) = vjp_sample(inner, [outer.values], [upstream], [True])
 
     def f_outer(vals):
         return float(np.sum(compose(DeformationField(vals), inner).values * upstream))
@@ -479,6 +480,20 @@ def test_integrate_cumsum_adjoint_identity(seed, dims):
 @PROPERTY
 @given(seeds, random_dims, st.integers(1, 4))
 def test_upsample_adjoint_identity(seed, dims, stride):
+    rng = np.random.default_rng(seed)
+    control = control_dims_for(dims, stride)
+    v = rng.standard_normal((3,) + control)
+    u = rng.standard_normal((3,) + dims)
+    full = upsample(PreActivationField(v, stride=stride), dims).values
+    assert_adjoint(full, u, v, vjp_upsample(u, stride, control))
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 4), st.tuples(*[st.integers(0, 3)] * 3),
+       st.tuples(*[st.integers(1, 3)] * 3))
+def test_upsample_adjoint_identity_stride_not_dividing(seed, stride, wholes, parts):
+    # each axis is a whole number of cells plus a partial one (1- and 2-voxel axes included)
+    dims = tuple(stride * q + min(r, max(stride - 1, 1)) for q, r in zip(wholes, parts))
     rng = np.random.default_rng(seed)
     control = control_dims_for(dims, stride)
     v = rng.standard_normal((3,) + control)

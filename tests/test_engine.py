@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -208,6 +209,43 @@ def test_gradient_check_zero_weights_guarded():
     assert report["all"] == 0.0
 
 
+def test_directional_gradient_check_at_benchmark_size():
+    # the 48^3 three-ellipsoid phantom with labels at steps=2; stride 5 does not divide 48
+    spec = PhantomSpec(
+        dims=(48, 48, 48),
+        ellipsoids=[Ellipsoid((22, 22, 24), (12, 9, 10), 1, 1.0),
+                    Ellipsoid((33, 30, 20), (5, 4, 6), 2, 0.6),
+                    Ellipsoid((14, 32, 28), (4, 5, 4), 3, 0.8)],
+        background=0.0, noise_sigma=0.02, seed=7)
+    pair = make_pair(spec, AnalyticWarp("sinusoidal", amplitude=3.0, wavelength=24.0))
+    segs = (one_hot(pair.moving_labels, [1, 2, 3]), one_hot(pair.fixed_labels, [1, 2, 3]))
+    a, b = pair.moving, pair.fixed
+    config = RegistrationConfig(steps=2, control_stride=5)
+    control = deform.control_dims_for(a.dims, 5)
+    rng = np.random.default_rng(3)
+    deltas = [PreActivationField(rng.normal(0.0, 0.3, (3,) + control), stride=5)
+              for _ in range(2)]
+    # about 3 % of the x coordinates clamp at the border, and a few hundred voxels
+    # fold, which is still few enough for the hinge's kinks to stay clear of h
+    run = multistep_forward(a, b, deltas, config.weights, segs=segs)
+    x = run.steps[0].phi_ab.values[0]
+    assert np.any((x < 0.0) | (x > 47.0))
+    assert 0.0 < run.breakdown.jac < 0.01
+    _, grads = objective_and_gradient(a, b, deltas, config, segs=segs)
+
+    def objective(t, v):
+        moved = [PreActivationField(d.values + t * dv, stride=5) for d, dv in zip(deltas, v)]
+        return multistep_forward(a, b, moved, config.weights, segs=segs).breakdown.total
+
+    h = 1e-6
+    for seed in (100, 101, 102):
+        dir_rng = np.random.default_rng(seed)
+        v = [dir_rng.standard_normal(d.values.shape) for d in deltas]
+        analytic = sum(float(np.sum(g * dv)) for g, dv in zip(grads, v))
+        fd = (objective(h, v) - objective(-h, v)) / (2.0 * h)
+        assert abs(analytic - fd) / max(abs(analytic), abs(fd)) < 1e-5
+
+
 # ---------------------------------------------------------------------------
 # optimize
 
@@ -318,6 +356,17 @@ def test_register_pair_improves_phantom_dice():
         before = dice(pair.fixed_labels, pair.moving_labels, label)
         after = dice(pair.fixed_labels, warped, label)
         assert after > before
+
+
+def test_registration_result_pickles_without_its_pullbacks():
+    rng = np.random.default_rng(21)
+    a, b = random_pair(rng)
+    config = RegistrationConfig(steps=2, iterations=2, control_stride=2)
+    result = register_pair(a, b, config, segs=random_segs(rng))
+    copy = pickle.loads(pickle.dumps(result))
+    assert np.array_equal(copy.phi_ab.values, result.phi_ab.values)
+    assert copy.final.to_dict() == result.final.to_dict()
+    assert all(step.breakdown.pullbacks == [] for step in copy.steps)
 
 
 def test_register_pair_inference_steps():

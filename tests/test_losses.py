@@ -60,7 +60,7 @@ def test_loss_sim_matches_brute_force():
     rng = np.random.default_rng(1)
     a, b = (vol(rng.uniform(-2, 2, (2,) + DIMS)) for _ in range(2))
     aw, bw = (vol(rng.uniform(-2, 2, (2,) + DIMS)) for _ in range(2))
-    value, grads = loss_sim(aw, b, bw, a)
+    value, pullback = loss_sim(aw, b, bw, a)
     acc = 0.0
     n = aw.data.size
     for arr, ref in ((aw, b), (bw, a)):
@@ -71,7 +71,7 @@ def test_loss_sim_matches_brute_force():
     def f(x):
         return loss_sim(vol(x), b, bw, a)[0]
 
-    fd_check(f, aw.data, grads["a_warp"], rng)
+    fd_check(f, aw.data, pullback()["a_warp"], rng)
 
 
 def test_loss_sim_shape_mismatch():
@@ -116,12 +116,12 @@ def test_loss_seg_gradients_match_fd():
     q = (rng.uniform(size=(2,) + DIMS) < 0.3).astype(np.float64)
     p2 = rng.uniform(0, 1, (2,) + DIMS)
     q2 = (rng.uniform(size=(2,) + DIMS) < 0.3).astype(np.float64)
-    value, grads = loss_seg(vol(p), vol(q), vol(p2), vol(q2))
+    value, pullback = loss_seg(vol(p), vol(q), vol(p2), vol(q2))
 
     def f(x):
         return loss_seg(vol(x), vol(q), vol(p2), vol(q2))[0]
 
-    fd_check(f, p, grads["a_seg_warp"], rng)
+    fd_check(f, p, pullback()["a_seg_warp"], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ def test_loss_reg_matches_brute_force_and_fd():
     rng = np.random.default_rng(4)
     g_ab = GradientField(rng.uniform(0.1, 1.9, (3,) + DIMS))
     g_ba = GradientField(rng.uniform(0.1, 1.9, (3,) + DIMS))
-    value, grads = loss_reg(g_ab, g_ba)
+    value, pullback = loss_reg(g_ab, g_ba)
     acc = sum(
         (g.values[idx] - 1.0) ** 2 / g.values.size
         for g in (g_ab, g_ba)
@@ -151,7 +151,7 @@ def test_loss_reg_matches_brute_force_and_fd():
     def f(x):
         return loss_reg(GradientField(x), g_ba)[0]
 
-    fd_check(f, g_ab.values, grads["g_ab"], rng)
+    fd_check(f, g_ab.values, pullback()["g_ab"], rng)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +160,9 @@ def test_loss_reg_matches_brute_force_and_fd():
 
 def test_loss_jac_identity_zero():
     ident = identity_field(DIMS)
-    value, grads = loss_jac(ident, ident)
+    value, pullback = loss_jac(ident, ident)
     assert value == 0.0
-    assert np.all(grads["phi_ab"] == 0.0)
+    assert pullback() == {}  # nothing folds, so both cotangents are zero
 
 
 def test_loss_jac_single_negative_voxel():
@@ -199,23 +199,66 @@ def test_loss_jac_gradients_match_fd():
     phi_ba = random_field(rng, scale=1.2)
     det = deform.jacobian_det(phi_ab).data[0]
     assert (det < 0).any(), "instance must exercise the hinge"
-    value, grads = loss_jac(phi_ab, phi_ba)
+    value, pullback = loss_jac(phi_ab, phi_ba)
 
     def f(x):
         return loss_jac(DeformationField(x), phi_ba)[0]
 
-    fd_check(f, phi_ab.values, grads["phi_ab"], rng, h=1e-7)
+    fd_check(f, phi_ab.values, pullback()["phi_ab"], rng, h=1e-7)
+
+
+def test_loss_jac_pullback_skips_det_vjp_without_folds(monkeypatch):
+    rng = np.random.default_rng(11)
+    phi_ab = random_field(rng, scale=0.05)
+    phi_ba = random_field(rng, scale=0.05)
+    assert np.all(deform.jacobian_det(phi_ab).data > 0)
+    assert np.all(deform.jacobian_det(phi_ba).data > 0)
+    value, pullback = loss_jac(phi_ab, phi_ba)
+
+    def unexpected(*args):
+        raise AssertionError("det_vjp called for a field without folds")
+
+    monkeypatch.setattr(deform, "det_vjp", unexpected)
+    monkeypatch.setattr(deform, "jacobian_matrix", unexpected)
+    assert value == 0.0
+    assert pullback() == {}  # a zero cotangent, left out
+
+
+def test_loss_jac_pullback_of_one_fold_equals_det_vjp_bit_for_bit():
+    dims = (7, 7, 7)
+    vals = identity_field(dims).values.copy()
+    vals[0, 3, 3, 3] = vals[0, 3, 3, 3] - 4.0
+    phi = DeformationField(vals)
+    ident = identity_field(dims)
+    _, pullback = loss_jac(phi, ident)
+    grads = pullback()
+    matrix = deform.jacobian_matrix(phi)
+    det = deform.det3x3(matrix)
+    assert np.count_nonzero(det < 0.0) > 0
+    want = deform.det_vjp(matrix, np.where(det < 0.0, -1.0 / np.prod(dims), 0.0))
+    assert set(grads) == {"phi_ab"}  # the identity does not fold
+    assert np.array_equal(grads["phi_ab"].view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
 # inverse consistency
 
 
+def inv_field_grads(phi_ab, phi_ba, cot):
+    """Carry loss_inv's composition cotangents to both fields, as the backward
+    pass does: one sweep at each composition's inner field."""
+    g_ba, (g_ab_outer,) = deform.vjp_sample(phi_ba, [phi_ab.values],
+                                            [cot["compose_ab_ba"]], [True])
+    g_ab, (g_ba_outer,) = deform.vjp_sample(phi_ab, [phi_ba.values],
+                                            [cot["compose_ba_ab"]], [True])
+    return {"phi_ab": g_ab + g_ab_outer, "phi_ba": g_ba + g_ba_outer}
+
+
 def test_loss_inv_identity_zero():
     ident = identity_field(DIMS)
-    value, grads = loss_inv(ident, ident)
+    value, pullback = loss_inv(ident, ident)
     assert value == 0.0
-    assert np.all(grads["phi_ab"] == 0.0)
+    assert np.all(inv_field_grads(ident, ident, pullback())["phi_ab"] == 0.0)
 
 
 def test_loss_inv_translation_pair_interior():
@@ -243,7 +286,8 @@ def test_loss_inv_gradients_match_fd():
     rng = np.random.default_rng(7)
     phi_ab = random_field(rng, scale=0.3)
     phi_ba = random_field(rng, scale=0.3)
-    value, grads = loss_inv(phi_ab, phi_ba)
+    value, pullback = loss_inv(phi_ab, phi_ba)
+    grads = inv_field_grads(phi_ab, phi_ba, pullback())
 
     def f_ab(x):
         return loss_inv(DeformationField(x), phi_ba)[0]
@@ -302,6 +346,13 @@ def test_loss_total_weighted_recombination():
     assert bd.total == pytest.approx(
         1.0 * bd.sim + 0.1 * bd.reg + 0.01 * bd.jac + 10.0 * bd.inv, abs=1e-12
     )
+
+
+def test_loss_total_keeps_pullbacks_of_weighted_terms_only():
+    bd = loss_total(weights=LossWeights(1, 0, 0.1, 0, 10), **all_identity_inputs())
+    assert [w for w, _ in bd.pullbacks] == [1, 0.1, 10]
+    assert set(bd.cotangents()) == {"a_warp", "b_warp", "g_ab", "g_ba",
+                                    "compose_ab_ba", "compose_ba_ab"}
 
 
 def test_loss_total_swap_symmetry():

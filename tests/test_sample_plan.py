@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from gradreg import deform
 from gradreg.deform import DeformationField, PreActivationField, SamplePlan
 from gradreg.volume import Volume
-from oracles import grid_coords_ref, sample_trilinear_ref, sample_vjp_ref, vjp_upsample_ref
+from oracles import sample_trilinear_ref, sample_vjp_ref, upsample_ref, vjp_upsample_ref
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -17,32 +17,21 @@ cases = st.fixed_dictionaries({
     "dims": st.tuples(side, side, side),
     "shape": st.tuples(side, side, side),
     "channels": st.sampled_from([1, 3, 7]),
-    "grid": st.booleans(),
 })
 
 
-def draw_coords(rng, dims, shape, grid):
-    """Coordinates a safe distance from every cell edge, partly outside [0, n-1].
-
-    ``grid`` gives broadcastable per-axis lines, as upsample samples its
-    control grid; otherwise every coordinate array has the full ``shape``.
-    """
-    coords = []
-    for axis, (n, m) in enumerate(zip(dims, shape)):
-        line_shape = [1, 1, 1]
-        line_shape[axis] = m
-        size = tuple(line_shape) if grid else shape
-        whole = rng.integers(-2, n + 1, size).astype(np.float64)
-        coords.append(whole + rng.uniform(0.01, 0.99, size))
-    return coords
+def draw_coords(rng, dims, shape):
+    """Coordinates (3, *shape) a safe distance from every cell edge, partly
+    outside [0, n-1]."""
+    whole = np.stack([rng.integers(-2, n + 1, shape) for n in dims]).astype(np.float64)
+    return whole + rng.uniform(0.01, 0.99, (3,) + shape)
 
 
 @PROPERTY
 @given(cases)
 def test_gather_scatter_dot_product_identity(case):
     rng = np.random.default_rng(case["seed"])
-    plan = SamplePlan(draw_coords(rng, case["dims"], case["shape"], case["grid"]),
-                      case["dims"])
+    plan = SamplePlan(draw_coords(rng, case["dims"], case["shape"]), case["dims"])
     v = rng.standard_normal((case["channels"],) + case["dims"])
     u = rng.standard_normal((case["channels"],) + case["shape"])
     lhs = float(np.sum(plan.gather(v) * u))
@@ -55,7 +44,7 @@ def test_gather_scatter_dot_product_identity(case):
 def test_coords_grad_matches_central_differences(case):
     rng = np.random.default_rng(case["seed"])
     dims = case["dims"]
-    coords = draw_coords(rng, dims, case["shape"], case["grid"])
+    coords = draw_coords(rng, dims, case["shape"])
     v = rng.standard_normal((case["channels"],) + dims)
     u = rng.standard_normal((case["channels"],) + case["shape"])
     direction = [rng.standard_normal(c.shape) for c in coords]
@@ -116,31 +105,71 @@ def check_plan_against_reference(rng, dims):
             for upstream in (rng.standard_normal((channels,) + dims), want * 0.5, gapped):
                 ref_values, ref_coords = sample_vjp_ref(source.data, source.data.shape,
                                                         coords, upstream)
-                values_grad, coords_grad = deform.vjp_warp_both(source, phi, upstream)
+                coords_grad, (values_grad,) = deform.vjp_sample(phi, [source.data],
+                                                                [upstream], [True])
                 assert_same_bits(values_grad, ref_values)
                 assert_same_bits(coords_grad, ref_coords)
-                assert_same_bits(deform.vjp_warp(source, phi, upstream), ref_coords)
+                coords_only, (none,) = deform.vjp_sample(phi, [source.data], [upstream],
+                                                         [False])
+                assert_same_bits(coords_only, ref_coords)
+                assert none is None
 
     assert_same_bits(deform.compose(other, phi).values,
                      sample_trilinear_ref(other.values, *coords))
     upstream = rng.standard_normal((3,) + dims)
     ref_outer, ref_inner = sample_vjp_ref(other.values, other.values.shape, coords, upstream)
-    go, gi = deform.vjp_compose(other, phi, upstream)
+    gi, (go,) = deform.vjp_sample(phi, [other.values], [upstream], [True])
     assert_same_bits(go, ref_outer)
     assert_same_bits(gi, ref_inner)
 
 
-def test_upsample_and_adjoint_match_reference_formulas_bit_for_bit():
+def assert_close(got, want, rel=1e-13):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+def test_upsample_and_adjoint_match_reference_formulas():
+    # the separable passes round differently from the trilinear corner products
     rng = np.random.default_rng(4)
-    for image_dims, stride in (((9, 8, 7), 4), ((10, 10, 10), 3), ((5, 6, 4), 2)):
+    for image_dims, stride in (((9, 8, 7), 4), ((10, 10, 10), 3), ((5, 6, 4), 2),
+                               ((1, 2, 7), 3)):
         control = deform.control_dims_for(image_dims, stride)
         delta = PreActivationField(rng.standard_normal((3,) + control), stride=stride)
-        assert_same_bits(deform.upsample(delta, image_dims).values,
-                         sample_trilinear_ref(delta.values,
-                                              *grid_coords_ref(image_dims, stride)))
+        assert_close(deform.upsample(delta, image_dims).values,
+                     upsample_ref(delta.values, image_dims, stride))
         upstream = rng.standard_normal((3,) + image_dims)
-        assert_same_bits(deform.vjp_upsample(upstream, stride, control),
-                         vjp_upsample_ref(upstream, stride, control))
+        assert_close(deform.vjp_upsample(upstream, stride, control),
+                     vjp_upsample_ref(upstream, stride, control))
+
+
+sweep_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "dims": st.tuples(side, side, side),
+    "channels": st.lists(st.sampled_from([1, 3]), min_size=1, max_size=3),
+    "scatter": st.lists(st.booleans(), min_size=3, max_size=3),
+})
+
+
+@PROPERTY
+@given(sweep_cases)
+def test_sweep_equals_the_per_source_adjoints(case):
+    rng = np.random.default_rng(case["seed"])
+    dims = case["dims"]
+    phi = DeformationField(draw_coords(rng, dims, dims))  # partly clamped
+    sources = [rng.standard_normal((c,) + dims) for c in case["channels"]]
+    upstreams = [rng.standard_normal((c,) + dims) for c in case["channels"]]
+    scatter = case["scatter"][:len(sources)]
+    coords_grad, values = deform.vjp_sample(phi, sources, upstreams, scatter)
+    plan = SamplePlan(phi.values, dims)
+    want = sum(plan.coords_grad(v, u) for v, u in zip(sources, upstreams))
+    assert coords_grad.shape == (3,) + dims
+    assert np.max(np.abs(coords_grad - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+    assert len(values) == len(sources)
+    for u, s, got in zip(upstreams, scatter, values):
+        if s:
+            assert_same_bits(got, plan.scatter(u))
+        else:
+            assert got is None
 
 
 def test_one_plan_per_field(monkeypatch):
@@ -159,5 +188,7 @@ def test_one_plan_per_field(monkeypatch):
     deform.warp(img, phi)
     deform.warp(Volume(rng.uniform(0.0, 1.0, (3,) + dims), dtype="f64"), phi)
     deform.compose(outer, phi)
-    deform.vjp_warp_both(img, phi, rng.standard_normal((1,) + dims))
+    deform.vjp_sample(phi, [img.data, outer.values],
+                      [rng.standard_normal((1,) + dims), rng.standard_normal((3,) + dims)],
+                      [True, True])
     assert built == [dims]
