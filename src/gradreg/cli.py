@@ -218,7 +218,9 @@ def _cmd_register(args) -> int:
     workers = min(args.jobs, len(jobs))
     if workers > 1:
         # loaded before the fork, so that forked workers share one copy of what
-        # registration (scipy.special) and its metrics (scipy.spatial) import
+        # registration (scipy.special, and scipy.sparse for its backward pass)
+        # and its metrics (scipy.spatial) import
+        import scipy.sparse  # noqa: F401
         import scipy.spatial  # noqa: F401
         import scipy.special  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:

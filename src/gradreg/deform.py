@@ -17,15 +17,21 @@ of each sample's lowest corner (N,) intp, the eight constant flat corner
 offsets, corner weights (8, N) f64, fractional offsets (3, N) f64 and the
 inside-mask (3, N) bool, 99 bytes per sample.  Every pass runs over one
 contiguous (N,) channel plane at a time, and every field, gradient and warp is
-a C-contiguous stack of such planes.  A ``DeformationField`` builds its plan
-when first sampled at and keeps it for its lifetime, so every warp,
-composition and adjoint at that field shares it; ``values`` must not change
-afterwards.  ``vjp_sample`` is the whole adjoint at one field in one sweep.
-``upsample`` uses no plan: it runs one two-tap hat-weight pass per axis.
+a C-contiguous stack of such planes.  The build, the gather and the coordinate
+adjoint walk the samples in cache-sized blocks; the value adjoint (scatter)
+adds each corner's weighted upstream into the output plane in place, eight
+corner passes per channel through scipy's sparse matrix-vector kernel, which
+only the backward pass imports.  No pass allocates a temporary of 8N entries.
+A ``DeformationField`` builds its plan when first sampled at and keeps it for
+its lifetime, so every warp, composition and adjoint at that field shares it;
+``values`` must not change afterwards.  ``vjp_sample`` is the whole adjoint at
+one field in one sweep.  ``upsample`` uses no plan: it runs one two-tap
+hat-weight pass per axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,12 +130,25 @@ def control_dims_for(image_dims, stride: int) -> tuple[int, int, int]:
 # trilinear sampling core
 
 
+# Samples per block of the elementwise passes: one f64 plane of a block is
+# 128 KB, so a block's planes, weights and buffers stay in a 2 MB L2 cache.
+_TILE = 16384
+
+
+def _blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``_TILE`` samples covering ``range(n)``."""
+    return [slice(i, min(i + _TILE, n)) for i in range(0, n, _TILE)]
+
+
 class SamplePlan:
     """Trilinear samples at coordinates (3, *shape) into a grid of ``dims``,
     each clamped to [0, n-1]; corners are ordered x-major, z-minor.
 
     Corner k of a sample sits at ``base + offsets[k]`` in a flat channel plane.
     An axis with one voxel has offset 0, so its upper corner repeats the lower.
+    The build, ``gather`` and ``coords_grad`` walk the samples in blocks of
+    ``_TILE``, each block through every corner and channel before the next;
+    every sample gets the same operations in the same order at any block size.
     """
 
     def __init__(self, coords, dims):
@@ -137,78 +156,95 @@ class SamplePlan:
         coords = np.asarray(coords, dtype=np.float64)
         self.shape = coords.shape[1:]
         flat = coords.reshape(3, -1)
+        samples = flat.shape[1]
         top = np.array(self.dims, dtype=np.float64)[:, None] - 1.0
-        self.frac = np.clip(flat, 0.0, top)
-        low = self.frac.astype(np.intp)  # the floor, as the clipped coordinates are >= 0
-        np.clip(low, 0, np.maximum(top.astype(np.intp) - 1, 0), out=low)
-        ix, iy, iz = low
-        self.base = (ix * ny + iy) * nz + iz
+        high = np.maximum(top.astype(np.intp) - 1, 0)
         sx, sy, sz = (step if n > 1 else 0 for step, n in zip((ny * nz, nz, 1), self.dims))
         self.offsets = tuple(a * sx + b * sy + c * sz
                              for a in (0, 1) for b in (0, 1) for c in (0, 1))
-        self.frac -= low
-        self.inside = (flat >= 0.0) & (flat <= top)
-        wx, wy, wz = ((1.0 - f, f) for f in self.frac)
-        self.weight = np.empty((8, self.base.size))
-        for k in range(8):
-            np.multiply(wx[k >> 2] * wy[(k >> 1) & 1], wz[k & 1], out=self.weight[k])
-
-    def _take(self, plane: np.ndarray, k: int, out: np.ndarray) -> np.ndarray:
-        """Corner k of every sample from one flat, contiguous channel plane."""
-        return np.take(plane[self.offsets[k]:], self.base, out=out, mode="clip")
+        self.base = np.empty(samples, dtype=np.intp)
+        self.frac = np.empty((3, samples))
+        self.inside = np.empty((3, samples), dtype=bool)
+        self.weight = np.empty((8, samples))
+        for s in _blocks(samples):
+            xyz, frac = flat[:, s], self.frac[:, s]
+            np.clip(xyz, 0.0, top, out=frac)
+            low = frac.astype(np.intp)  # the floor, as the clipped coordinates are >= 0
+            np.clip(low, 0, high, out=low)
+            ix, iy, iz = low
+            self.base[s] = (ix * ny + iy) * nz + iz
+            frac -= low
+            self.inside[:, s] = (xyz >= 0.0) & (xyz <= top)
+            wx, wy, wz = ((1.0 - f, f) for f in frac)
+            for k in range(8):
+                np.multiply(wx[k >> 2] * wy[(k >> 1) & 1], wz[k & 1], out=self.weight[k, s])
 
     def gather(self, values: np.ndarray) -> np.ndarray:
         """Sample (C, *dims) channel data; returns C-contiguous (C, *shape)."""
-        out = np.empty((len(values), self.base.size))
-        corner = np.empty(self.base.size)
-        for acc, channel in zip(out, values):
-            plane = channel.ravel()
-            self._take(plane, 0, acc)
-            acc *= self.weight[0]
-            for k in range(1, 8):
-                self._take(plane, k, corner)
-                corner *= self.weight[k]
-                acc += corner
-        return out.reshape((len(values),) + self.shape)
+        planes = [channel.ravel() for channel in values]
+        out = np.empty((len(planes), self.base.size))
+        corner = np.empty(min(self.base.size, _TILE))
+        for s in _blocks(self.base.size):
+            base, weight, buf = self.base[s], self.weight[:, s], corner[:s.stop - s.start]
+            for acc, plane in zip(out[:, s], planes):
+                np.take(plane, base, out=acc, mode="clip")
+                acc *= weight[0]
+                for k in range(1, 8):
+                    np.take(plane[self.offsets[k]:], base, out=buf, mode="clip")
+                    buf *= weight[k]
+                    acc += buf
+        return out.reshape((len(planes),) + self.shape)
 
     def scatter(self, upstream) -> np.ndarray:
-        """Adjoint of ``gather`` w.r.t. the values: C channels -> (C, *dims), one
-        ``bincount`` per channel over one corner-major index of all eight corners."""
-        index = np.add.outer(np.array(self.offsets, dtype=np.intp), self.base).ravel()
-        weights = np.empty_like(self.weight)
-        out = np.empty((len(upstream),) + self.dims)
+        """Adjoint of ``gather`` w.r.t. the values: C channels -> (C, *dims).
+
+        Eight passes per channel, in corner order, each adding weight times
+        upstream into its corner of one shared zeroed plane in sample order:
+        the order of a single corner-major ``bincount``, with no 8N index."""
+        from scipy.sparse import _sparsetools  # loaded by the backward pass only
+        n, size = self.base.size, math.prod(self.dims)
+        columns = np.arange(n + 1, dtype=np.intp)  # one sample per CSC column
+        out = np.zeros((len(upstream), size))
         for acc, up in zip(out, upstream):
-            np.multiply(self.weight, up.ravel(), out=weights)
-            acc[...] = np.bincount(index, weights.ravel(), acc.size).reshape(self.dims)
-        return out
+            up = np.asarray(up, dtype=np.float64).ravel()
+            if up.size != n:  # the kernel reads n values unchecked
+                raise ValueError(f"upstream channel has {up.size} samples, the plan {n}")
+            for offset, weight in zip(self.offsets, self.weight):
+                # acc[offset + base[j]] += weight[j] * up[j] for j = 0, 1, ...
+                _sparsetools.csc_matvec(size - offset, n, columns, self.base, weight, up,
+                                        acc[offset:])
+        return out.reshape((len(upstream),) + self.dims)
 
     def coords_grad(self, values, upstream) -> np.ndarray:
         """Adjoint of ``gather`` w.r.t. the coordinates, zero where clamped.  The
         channel dot product comes before the weight terms: one pass for any C."""
         planes = [channel.ravel() for channel in values]
         ups = [channel.ravel() for channel in upstream]
-        corner = np.empty((len(planes), self.base.size))
-        dotted, term = np.empty(self.base.size), np.empty(self.base.size)
-        wx, wy, wz = ((1.0 - f, f) for f in self.frac)
+        tile = min(self.base.size, _TILE)
+        corners = np.empty((len(planes), tile))
+        dotted, term = np.empty(tile), np.empty(tile)
         grad = np.zeros((3, self.base.size))
-        gx, gy, gz = grad
-        for k in range(8):
-            a, b, c = k >> 2, (k >> 1) & 1, k & 1
-            for plane, up, out in zip(planes, ups, corner):
-                self._take(plane, k, out)
-                out *= up
-            np.sum(corner, axis=0, out=dotted)
-            # the low corner's weight falls as its coordinate grows
-            for g, w1, w2, rising in ((gx, wy[b], wz[c], a), (gy, wx[a], wz[c], b),
-                                      (gz, wx[a], wy[b], c)):
-                np.multiply(w1, w2, out=term)
-                term *= dotted
-                if rising:
-                    g += term
-                else:
-                    g -= term
-        for axis in range(3):
-            grad[axis] *= self.inside[axis]
+        for s in _blocks(self.base.size):
+            m, base = s.stop - s.start, self.base[s]
+            corner, dot, t = corners[:, :m], dotted[:m], term[:m]
+            gx, gy, gz = grad[:, s]
+            wx, wy, wz = ((1.0 - f, f) for f in self.frac[:, s])
+            for k in range(8):
+                a, b, c = k >> 2, (k >> 1) & 1, k & 1
+                for plane, up, out in zip(planes, ups, corner):
+                    np.take(plane[self.offsets[k]:], base, out=out, mode="clip")
+                    out *= up[s]
+                np.sum(corner, axis=0, out=dot)
+                # the low corner's weight falls as its coordinate grows
+                for g, w1, w2, rising in ((gx, wy[b], wz[c], a), (gy, wx[a], wz[c], b),
+                                          (gz, wx[a], wy[b], c)):
+                    np.multiply(w1, w2, out=t)
+                    t *= dot
+                    if rising:
+                        g += t
+                    else:
+                        g -= t
+            grad[:, s] *= self.inside[:, s]
         return grad.reshape((3,) + self.shape)
 
 
@@ -317,16 +353,18 @@ def _sl(axis: int, s: slice) -> tuple:
     return tuple(idx)
 
 
-def axis_gradient(f: np.ndarray, axis: int) -> np.ndarray:
-    """d f / d axis with central differences interior, one-sided at borders."""
-    out = np.empty_like(f)
-    out[_sl(axis, slice(1, -1))] = (
-        f[_sl(axis, slice(2, None))] - f[_sl(axis, slice(None, -2))]
-    ) / 2.0
-    out[_sl(axis, slice(0, 1))] = f[_sl(axis, slice(1, 2))] - f[_sl(axis, slice(0, 1))]
-    out[_sl(axis, slice(-1, None))] = (
-        f[_sl(axis, slice(-1, None))] - f[_sl(axis, slice(-2, -1))]
-    )
+def axis_gradient(f: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """d f / d axis with central differences interior, one-sided at borders,
+    written into ``out`` when given."""
+    if out is None:
+        out = np.empty_like(f)
+    inner = out[_sl(axis, slice(1, -1))]
+    np.subtract(f[_sl(axis, slice(2, None))], f[_sl(axis, slice(None, -2))], out=inner)
+    inner /= 2.0
+    np.subtract(f[_sl(axis, slice(1, 2))], f[_sl(axis, slice(0, 1))],
+                out=out[_sl(axis, slice(0, 1))])
+    np.subtract(f[_sl(axis, slice(-1, None))], f[_sl(axis, slice(-2, -1))],
+                out=out[_sl(axis, slice(-1, None))])
     return out
 
 
@@ -349,7 +387,7 @@ def jacobian_matrix(phi: DeformationField) -> np.ndarray:
     d = np.empty((3, 3) + phi.dims)
     for a in range(3):
         for b in range(3):
-            d[a, b] = axis_gradient(phi.values[a], b)
+            axis_gradient(phi.values[a], b, out=d[a, b])
     return d
 
 

@@ -292,6 +292,16 @@ def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
     return grads
 
 
+def _final_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
+                   weights: LossWeights, segs) -> MultistepForward:
+    """A forward pass that no backward pass follows: its steps keep no
+    pullbacks, nor the residual arrays those would hold."""
+    run = multistep_forward(a, b, deltas, weights, segs=segs)
+    for step in run.steps:
+        step.breakdown.pullbacks.clear()
+    return run
+
+
 def objective_and_gradient(a: Volume, b: Volume, deltas: list[PreActivationField],
                            config: RegistrationConfig, segs=None):
     """Total multistep loss and its exact gradient w.r.t. every delta field."""
@@ -337,7 +347,7 @@ def optimize(a: Volume, b: Volume, config: RegistrationConfig,
             if abs(trace[-1].total - ref) < config.convergence_tol * max(abs(ref), 1e-300):
                 converged = True
                 break
-    final = multistep_forward(a, b, deltas, config.weights, segs=segs)
+    final = _final_forward(a, b, deltas, config.weights, segs)
     if not np.isfinite(final.breakdown.total):
         raise DivergenceError("objective became non-finite after the last update", trace)
     return RegistrationResult(final.steps, final.breakdown, a, b, deltas, trace,
@@ -360,7 +370,7 @@ def register_pair(a: Volume, b: Volume, config: RegistrationConfig, segs=None,
     if inference_steps is None or inference_steps == config.steps:
         return result
     deltas = result.deltas[:inference_steps]
-    run = multistep_forward(a, b, deltas, config.weights, segs=segs)
+    run = _final_forward(a, b, deltas, config.weights, segs)
     return replace(result, steps=run.steps, breakdown=run.breakdown, deltas=deltas)
 
 

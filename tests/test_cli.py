@@ -42,16 +42,34 @@ def run(*argv):
 # parser surface
 
 
-def test_cli_import_leaves_scipy_modules_unloaded():
-    """``phantom``, ``warp`` and ``jacobian`` start without scipy's import cost."""
+def run_probe(code: str) -> str:
+    """What a fresh interpreter running ``code`` with this gradreg prints."""
     src = str(Path(gradreg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    probe = ("import sys, gradreg.cli; print(sorted("
-             "{'scipy.special', 'scipy.spatial', 'scipy.ndimage'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_modules_unloaded():
+    """``phantom``, ``warp`` and ``jacobian`` start without scipy's import cost."""
+    probe = ("import sys, gradreg.cli; print(sorted({'scipy.special', 'scipy.spatial', "
+             "'scipy.ndimage', 'scipy.sparse'} & set(sys.modules)))")
+    assert run_probe(probe) == "[]"
+
+
+def test_warp_leaves_scipy_sparse_unloaded():
+    """Only the backward pass's scatter loads scipy.sparse; a warp gathers."""
+    probe = ("import sys, numpy as np\n"
+             "from gradreg import deform\n"
+             "from gradreg.volume import Volume\n"
+             "phi = deform.identity_field((5, 4, 3))\n"
+             "phi.values[0] += 0.25\n"
+             "deform.warp(Volume(np.ones((1, 5, 4, 3))), phi)\n"
+             "assert phi._plan is not None\n"
+             "print('scipy.sparse' in sys.modules)")
+    assert run_probe(probe) == "False"
 
 
 def test_help_lists_all_subcommands(capsys):

@@ -369,6 +369,17 @@ def test_registration_result_pickles_without_its_pullbacks():
     assert all(step.breakdown.pullbacks == [] for step in copy.steps)
 
 
+def test_registration_result_keeps_no_pullbacks():
+    """Nothing runs the final forward pass's pullbacks, so the result holds none."""
+    rng = np.random.default_rng(22)
+    a, b = random_pair(rng)
+    config = RegistrationConfig(steps=2, iterations=2, control_stride=2)
+    segs = random_segs(rng)
+    for inference_steps in (None, 1):
+        result = register_pair(a, b, config, segs=segs, inference_steps=inference_steps)
+        assert [len(step.breakdown.pullbacks) for step in result.steps] == [0] * len(result.steps)
+
+
 def test_register_pair_inference_steps():
     pair = phantom_fixture()
     config = RegistrationConfig(steps=2, iterations=10, control_stride=2)

@@ -1,6 +1,7 @@
 """The trilinear sample plan: adjoint identities, exactness, reuse."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,8 +80,10 @@ def random_field(rng, dims):
 
 def test_plan_matches_reference_formulas_bit_for_bit():
     rng = np.random.default_rng(3)
-    # a one-voxel axis has corner offset 0; a two-voxel axis puts every low corner at 0
-    for dims in ((7, 6, 5), (1, 6, 5), (7, 2, 1)):
+    # a one-voxel axis has corner offset 0; a two-voxel axis puts every low corner at 0;
+    # 29 * 26 * 23 = 17342 samples are one full block of the plan's passes and a partial one
+    assert deform._TILE < 29 * 26 * 23 < 2 * deform._TILE
+    for dims in ((7, 6, 5), (1, 6, 5), (7, 2, 1), (29, 26, 23)):
         check_plan_against_reference(rng, dims)
 
 
@@ -170,6 +173,13 @@ def test_sweep_equals_the_per_source_adjoints(case):
             assert_same_bits(got, plan.scatter(u))
         else:
             assert got is None
+
+
+def test_scatter_rejects_an_upstream_of_another_size():
+    dims = (5, 4, 3)
+    plan = SamplePlan(np.indices(dims) + 0.3, dims)
+    with pytest.raises(ValueError, match="samples"):
+        plan.scatter(np.ones((1, 3)))
 
 
 def test_one_plan_per_field(monkeypatch):
