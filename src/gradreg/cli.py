@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -81,12 +82,9 @@ def _load_config(path) -> RegistrationConfig:
 def _write_trace_csv(path, trace: list[LossBreakdown]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["iteration", "sim", "seg", "reg", "jac", "inv", "total"])
+        writer.writerow(["iteration", *(f.name for f in fields(LossBreakdown))])
         for i, bd in enumerate(trace):
-            writer.writerow(
-                [i, repr(bd.sim), repr(bd.seg), repr(bd.reg), repr(bd.jac),
-                 repr(bd.inv), repr(bd.total)]
-            )
+            writer.writerow([i, *map(repr, astuple(bd))])
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +315,8 @@ def _cmd_gradcheck(args) -> int:
     )
     report = gradient_check(dims, config, seed=args.seed)
     worst = max(report.values())
-    for name in ("sim", "seg", "reg", "jac", "inv", "all"):
-        print(f"{name}: max relative error {_fmt(report[name])}")
+    for name, err in report.items():
+        print(f"{name}: max relative error {_fmt(err)}")
     if worst < GRADCHECK_TOLERANCE:
         print(f"gradient check passed (worst {_fmt(worst)} < {GRADCHECK_TOLERANCE:g})")
         return 0

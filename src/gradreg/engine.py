@@ -9,21 +9,22 @@ loss over all steps.  A run's exposed fields compose the step fields, and its
 exposed warped volumes are the inputs warped once with those fields, so
 re-applying a saved field reproduces the saved warp; the sequential per-step
 warps the losses see stay in the run's ``steps``.  The registration result is
-the final forward pass plus the optimization history.
+a plain value: the final pass's exposed fields, warps and loss, and the history.
 
-The forward pass computes values only; the backward pass runs the loss
-pullbacks.  Gradients are exact reverse-mode vector-Jacobian products chained
-through warp -> integrate -> activate -> upsample for every step and
-direction, including the finite-difference determinant path of the Jacobian
-penalty and the composition path of the inverse-consistency penalty.  Each
-step field gets one adjoint sweep over everything sampled at it.  Everything
-runs in double precision and is bit-deterministic for fixed inputs and config.
+The forward pass computes values only and keeps the loss pullbacks; the
+backward pass runs them.  Gradients are exact reverse-mode vector-Jacobian
+products chained through warp -> integrate -> activate -> upsample for every
+step and direction, including the finite-difference determinant path of the
+Jacobian penalty and the composition path of the inverse-consistency penalty.
+Each step field gets one adjoint sweep over everything sampled at it, and all
+of it is double precision and bit-deterministic for fixed inputs and config.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
@@ -110,7 +111,7 @@ def _typed(key: str, value, default):
 class StepForward:
     """One refinement step's fields, sequential warps and loss, both directions.
 
-    ``x`` is the upsampled parameter field, kept for the backward pass.
+    ``x`` (the upsampled parameter field) and ``pullbacks`` serve the backward pass.
     """
 
     x: PreActivationField
@@ -121,6 +122,7 @@ class StepForward:
     a_seg_warp: Volume | None
     b_seg_warp: Volume | None
     breakdown: LossBreakdown
+    pullbacks: list[tuple[float, Callable]]
 
 
 def _check_pair(a: Volume, b: Volume, segs) -> None:
@@ -138,11 +140,6 @@ def _check_pair(a: Volume, b: Volume, segs) -> None:
             )
 
 
-def _sum_breakdowns(parts: list[LossBreakdown]) -> LossBreakdown:
-    terms = [p.to_dict() for p in parts]
-    return LossBreakdown(**{key: sum(t[key] for t in terms) for key in terms[0]})
-
-
 def _compose_steps(phis: list[DeformationField]) -> DeformationField:
     """Compose per-step fields, each later step's field as the inner map."""
     phi = phis[0]
@@ -156,7 +153,8 @@ class MultistepForward:
     """All steps of one forward pass and its two inputs.
 
     The composed fields, and the inputs warped once with them, are built on
-    first access; the sequential per-step warps stay in ``steps``.
+    first access; the sequential per-step warps stay in ``steps``.  With one
+    step the composed fields are the step's, and so are the warps.
     """
 
     steps: list[StepForward]
@@ -174,25 +172,26 @@ class MultistepForward:
 
     @cached_property
     def a_warp(self) -> Volume:
-        return deform.warp(self.a, self.phi_ab)
+        return self.steps[0].a_warp if len(self.steps) == 1 else deform.warp(self.a, self.phi_ab)
 
     @cached_property
     def b_warp(self) -> Volume:
-        return deform.warp(self.b, self.phi_ba)
+        return self.steps[0].b_warp if len(self.steps) == 1 else deform.warp(self.b, self.phi_ba)
 
 
 @dataclass
-class RegistrationResult(MultistepForward):
-    """The final forward pass plus the optimization history."""
+class RegistrationResult:
+    """The final forward pass's exposed fields, warps and loss, its deltas, the history."""
 
+    phi_ab: DeformationField
+    phi_ba: DeformationField
+    a_warp: Volume
+    b_warp: Volume
+    final: LossBreakdown
     deltas: list[PreActivationField]
     trace: list[LossBreakdown]
     iterations_run: int
     converged: bool
-
-    @property
-    def final(self) -> LossBreakdown:
-        return self.breakdown
 
 
 def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
@@ -227,13 +226,14 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
         if segs is not None:
             a_seg_cur = deform.warp(a_seg_cur, phi_ab)
             b_seg_cur = deform.warp(b_seg_cur, phi_ba)
-        breakdown = loss_total(
+        breakdown, pullbacks = loss_total(
             a_cur, b, b_cur, a, g_ab, g_ba, phi_ab, phi_ba, weights,
             a_seg_warp=a_seg_cur, b_seg=b_seg, b_seg_warp=b_seg_cur, a_seg=a_seg,
         )
         steps.append(StepForward(x, phi_ab, phi_ba, a_cur, b_cur,
-                                 a_seg_cur, b_seg_cur, breakdown))
-    breakdown = _sum_breakdowns([s.breakdown for s in steps])
+                                 a_seg_cur, b_seg_cur, breakdown, pullbacks))
+    breakdown = LossBreakdown(*(sum(getattr(s.breakdown, f.name) for s in steps)
+                                for f in fields(LossBreakdown)))
     return MultistepForward(steps, breakdown, a, b)
 
 
@@ -246,6 +246,17 @@ _SAMPLED = {"phi_ab": ("a_warp", "a_seg_warp", "compose_ba_ab"),
 _OUTER = {"compose_ab_ba": "phi_ab", "compose_ba_ab": "phi_ba"}
 
 
+def _cotangents(pullbacks: list[tuple[float, Callable]]) -> dict[str, np.ndarray]:
+    """Run each pullback once, releasing it and what it kept as it goes; the
+    weighted cotangents, merged per input key."""
+    grads: dict[str, np.ndarray] = {}
+    while pullbacks:
+        w, pullback = pullbacks.pop(0)
+        for key, g in pullback().items():
+            grads[key] = grads[key] + w * g if key in grads else w * g
+    return grads
+
+
 def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
               deltas: list[PreActivationField]) -> list[np.ndarray]:
     """Reverse-mode chain through every step, back to each parameter field."""
@@ -255,7 +266,7 @@ def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
     grads: list[np.ndarray | None] = [None] * len(steps)
     for k in range(len(steps) - 1, -1, -1):
         step = steps[k]
-        cot = step.breakdown.cotangents()
+        cot = _cotangents(step.pullbacks)
         for key, g in carry.items():
             cot[key] = cot[key] + g if key in cot else g
         # what this step warped; its value gradients only matter if an earlier step made it
@@ -292,14 +303,18 @@ def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
     return grads
 
 
-def _final_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
-                   weights: LossWeights, segs) -> MultistepForward:
-    """A forward pass that no backward pass follows: its steps keep no
-    pullbacks, nor the residual arrays those would hold."""
-    run = multistep_forward(a, b, deltas, weights, segs=segs)
+def _result(run: MultistepForward, deltas: list[PreActivationField],
+            trace: list[LossBreakdown], converged: bool) -> RegistrationResult:
+    """A final forward pass as a result.  No backward pass follows it, so its
+    pullbacks and their residual arrays go before the composed fields and warps
+    are built; the exposed fields keep no sample plans."""
     for step in run.steps:
-        step.breakdown.pullbacks.clear()
-    return run
+        step.pullbacks.clear()
+    result = RegistrationResult(run.phi_ab, run.phi_ba, run.a_warp, run.b_warp,
+                                run.breakdown, deltas, trace, len(trace), converged)
+    result.phi_ab.drop_plan()
+    result.phi_ba.drop_plan()
+    return result
 
 
 def objective_and_gradient(a: Volume, b: Volume, deltas: list[PreActivationField],
@@ -347,11 +362,10 @@ def optimize(a: Volume, b: Volume, config: RegistrationConfig,
             if abs(trace[-1].total - ref) < config.convergence_tol * max(abs(ref), 1e-300):
                 converged = True
                 break
-    final = _final_forward(a, b, deltas, config.weights, segs)
+    final = multistep_forward(a, b, deltas, config.weights, segs=segs)
     if not np.isfinite(final.breakdown.total):
         raise DivergenceError("objective became non-finite after the last update", trace)
-    return RegistrationResult(final.steps, final.breakdown, a, b, deltas, trace,
-                              len(trace), converged)
+    return _result(final, deltas, trace, converged)
 
 
 def register_pair(a: Volume, b: Volume, config: RegistrationConfig, segs=None,
@@ -370,8 +384,8 @@ def register_pair(a: Volume, b: Volume, config: RegistrationConfig, segs=None,
     if inference_steps is None or inference_steps == config.steps:
         return result
     deltas = result.deltas[:inference_steps]
-    run = _final_forward(a, b, deltas, config.weights, segs)
-    return replace(result, steps=run.steps, breakdown=run.breakdown, deltas=deltas)
+    run = multistep_forward(a, b, deltas, config.weights, segs=segs)
+    return _result(run, deltas, result.trace, result.converged)
 
 
 def gradient_check(dims, config: RegistrationConfig, seed: int = 0) -> dict[str, float]:
@@ -415,6 +429,7 @@ def gradient_check(dims, config: RegistrationConfig, seed: int = 0) -> dict[str,
 
     report = {term: max_rel_error(LossWeights(**{f.name: float(f is weight)
                                                  for f in fields(LossWeights)}))
-              for term, weight in zip(("sim", "seg", "reg", "jac", "inv"), fields(LossWeights))}
+              for term, weight in zip((f.name for f in fields(LossBreakdown)),
+                                      fields(LossWeights))}
     report["all"] = max_rel_error(config.weights)
     return report

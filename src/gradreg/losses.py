@@ -4,14 +4,15 @@ Each term is a symmetric sum over both warp directions, normalized to a
 per-element mean so the weights are resolution independent.  A term computes
 its value and returns it with a pullback, a function of no arguments giving
 the term's exact cotangents w.r.t. its direct inputs (keyed by name); only the
-backward pass runs it.  All terms are nonnegative and exactly zero on the
+backward pass runs it, and ``loss_total`` returns the weighted ones beside a
+plain ``LossBreakdown``.  All terms are nonnegative and exactly zero on the
 all-identity configuration.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,9 +40,9 @@ class LossWeights:
                 raise ValueError(f"loss weight {name} must be finite and >= 0, got {w}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossBreakdown:
-    """Per-term values, their weighted total, and the weighted term pullbacks."""
+    """Per-term values and their weighted total; its fields name the terms."""
 
     sim: float
     seg: float
@@ -49,23 +50,9 @@ class LossBreakdown:
     jac: float
     inv: float
     total: float
-    pullbacks: list[tuple[float, Callable]] = field(default_factory=list, repr=False)
-
-    def cotangents(self) -> dict[str, np.ndarray]:
-        """Run each pullback once and release what it kept; the weighted
-        cotangents, merged per input key."""
-        grads: dict[str, np.ndarray] = {}
-        while self.pullbacks:
-            w, pullback = self.pullbacks.pop(0)
-            for key, g in pullback().items():
-                grads[key] = grads[key] + w * g if key in grads else w * g
-        return grads
-
-    def __getstate__(self):  # a pickled breakdown keeps its values, not the closures
-        return {**self.__dict__, "pullbacks": []}
 
     def to_dict(self) -> dict[str, float]:
-        return {key: getattr(self, key) for key in ("sim", "seg", "reg", "jac", "inv", "total")}
+        return asdict(self)
 
 
 def _check_same_shape(kind: str, *arrays: np.ndarray) -> None:
@@ -189,8 +176,9 @@ def loss_total(
     b_seg: Volume | None = None,
     b_seg_warp: Volume | None = None,
     a_seg: Volume | None = None,
-) -> LossBreakdown:
-    """Weighted five-term loss, keeping the pullback of every term with a nonzero weight.
+) -> tuple[LossBreakdown, list[tuple[float, Callable]]]:
+    """Weighted five-term loss, and the (weight, pullback) pair of every term
+    with a nonzero weight.
 
     Omitting the segmentation inputs forces the beta term to zero
     (unsupervised mode).
@@ -217,5 +205,4 @@ def loss_total(
                                        (weights.gamma, reg_pb), (weights.delta, jac_pb),
                                        (weights.epsilon, inv_pb))
                  if w != 0.0 and pb is not None]
-    return LossBreakdown(sim=sim, seg=seg, reg=reg, jac=jac, inv=inv,
-                         total=total, pullbacks=pullbacks)
+    return LossBreakdown(sim, seg, reg, jac, inv, total), pullbacks

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gradreg.deform import (
@@ -29,7 +29,6 @@ from gradreg.volume import LabelVolume, Volume
 from oracles import jacobian_det_oracle
 
 DIMS = (5, 5, 5)
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 random_dims = st.tuples(st.integers(3, 7), st.integers(3, 7), st.integers(3, 7))
 seeds = st.integers(0, 2**32 - 1)
 
@@ -325,7 +324,6 @@ def test_vjp_integrate_impulse_gives_suffix_ones():
     assert grad[0, :, 0, 0].tolist() == [1.0, 1.0, 1.0, 0.0]
 
 
-@PROPERTY
 @given(seeds, random_dims)
 def test_vjp_activate_matches_fd(seed, dims):
     rng = np.random.default_rng(seed)
@@ -410,7 +408,6 @@ def test_vjp_compose_matches_fd():
                    directional_fd(f_inner, inner.values, d_inner)) < 1e-6
 
 
-@PROPERTY
 @given(seeds, random_dims)
 def test_jacobian_det_vjp_matches_fd(seed, dims):
     rng = np.random.default_rng(seed)
@@ -457,7 +454,6 @@ def assert_adjoint(jv, u, v, jtu):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-@PROPERTY
 @given(seeds, random_dims, st.integers(0, 2))
 def test_axis_gradient_adjoint_identity(seed, dims, axis):
     rng = np.random.default_rng(seed)
@@ -466,7 +462,6 @@ def test_axis_gradient_adjoint_identity(seed, dims, axis):
     assert_adjoint(axis_gradient(v, axis), u, v, axis_gradient_adjoint(u, axis))
 
 
-@PROPERTY
 @given(seeds, random_dims)
 def test_integrate_cumsum_adjoint_identity(seed, dims):
     rng = np.random.default_rng(seed)
@@ -477,7 +472,6 @@ def test_integrate_cumsum_adjoint_identity(seed, dims):
     assert_adjoint(cumsum, u, v, vjp_integrate(u))
 
 
-@PROPERTY
 @given(seeds, random_dims, st.integers(1, 4))
 def test_upsample_adjoint_identity(seed, dims, stride):
     rng = np.random.default_rng(seed)
@@ -488,7 +482,6 @@ def test_upsample_adjoint_identity(seed, dims, stride):
     assert_adjoint(full, u, v, vjp_upsample(u, stride, control))
 
 
-@PROPERTY
 @given(seeds, st.integers(1, 4), st.tuples(*[st.integers(0, 3)] * 3),
        st.tuples(*[st.integers(1, 3)] * 3))
 def test_upsample_adjoint_identity_stride_not_dividing(seed, stride, wholes, parts):

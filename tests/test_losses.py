@@ -319,7 +319,7 @@ def all_identity_inputs():
 
 def test_loss_total_all_identity_is_zero_except_dice_smoothing():
     inputs = all_identity_inputs()
-    bd = loss_total(weights=LossWeights(1, 0, 0.1, 0.01, 10), **inputs)
+    bd, _ = loss_total(weights=LossWeights(1, 0, 0.1, 0.01, 10), **inputs)
     assert bd.sim == 0.0 and bd.reg == 0.0 and bd.jac == 0.0 and bd.inv == 0.0
     assert bd.total == 0.0
     assert bd.seg == 0.0  # identical one-hot volumes cancel exactly
@@ -338,7 +338,7 @@ def test_loss_total_weighted_recombination():
         phi_ba=random_field(rng, scale=0.8),
     )
     w = LossWeights(1.0, 1.0, 0.1, 0.01, 10.0)
-    bd = loss_total(weights=w, **inputs)
+    bd, _ = loss_total(weights=w, **inputs)
     assert bd.seg == 0.0  # unsupervised mode
     recombined = (w.alpha * bd.sim + w.beta * bd.seg + w.gamma * bd.reg
                   + w.delta * bd.jac + w.epsilon * bd.inv)
@@ -349,10 +349,10 @@ def test_loss_total_weighted_recombination():
 
 
 def test_loss_total_keeps_pullbacks_of_weighted_terms_only():
-    bd = loss_total(weights=LossWeights(1, 0, 0.1, 0, 10), **all_identity_inputs())
-    assert [w for w, _ in bd.pullbacks] == [1, 0.1, 10]
-    assert set(bd.cotangents()) == {"a_warp", "b_warp", "g_ab", "g_ba",
-                                    "compose_ab_ba", "compose_ba_ab"}
+    _, pullbacks = loss_total(weights=LossWeights(1, 0, 0.1, 0, 10), **all_identity_inputs())
+    assert [w for w, _ in pullbacks] == [1, 0.1, 10]
+    assert {key for _, pb in pullbacks for key in pb()} == {
+        "a_warp", "b_warp", "g_ab", "g_ba", "compose_ab_ba", "compose_ba_ab"}
 
 
 def test_loss_total_swap_symmetry():
@@ -366,8 +366,8 @@ def test_loss_total_swap_symmetry():
     p1 = random_field(rng)
     p2 = random_field(rng)
     w = LossWeights(1, 0, 0.1, 0.01, 10)
-    bd = loss_total(aw, b, bw, a, g1, g2, p1, p2, w)
-    swapped = loss_total(bw, a, aw, b, g2, g1, p2, p1, w)
+    bd, _ = loss_total(aw, b, bw, a, g1, g2, p1, p2, w)
+    swapped, _ = loss_total(bw, a, aw, b, g2, g1, p2, p1, w)
     for term in ("sim", "seg", "reg", "jac", "inv", "total"):
         assert getattr(bd, term) == getattr(swapped, term)
 

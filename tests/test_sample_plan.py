@@ -2,15 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from gradreg import deform
 from gradreg.deform import DeformationField, PreActivationField, SamplePlan
 from gradreg.volume import Volume
 from oracles import sample_trilinear_ref, sample_vjp_ref, upsample_ref, vjp_upsample_ref
-
-PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 side = st.integers(1, 6)
 cases = st.fixed_dictionaries({
@@ -28,7 +26,6 @@ def draw_coords(rng, dims, shape):
     return whole + rng.uniform(0.01, 0.99, (3,) + shape)
 
 
-@PROPERTY
 @given(cases)
 def test_gather_scatter_dot_product_identity(case):
     rng = np.random.default_rng(case["seed"])
@@ -40,7 +37,6 @@ def test_gather_scatter_dot_product_identity(case):
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-@PROPERTY
 @given(cases)
 def test_coords_grad_matches_central_differences(case):
     rng = np.random.default_rng(case["seed"])
@@ -153,7 +149,6 @@ sweep_cases = st.fixed_dictionaries({
 })
 
 
-@PROPERTY
 @given(sweep_cases)
 def test_sweep_equals_the_per_source_adjoints(case):
     rng = np.random.default_rng(case["seed"])
