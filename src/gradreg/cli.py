@@ -2,7 +2,9 @@
 
 Subcommands: register, warp, jacobian, metrics, phantom, gradcheck.
 Exit codes: 0 success, 1 user error (bad paths, malformed inputs, shape
-mismatches), 2 numerical failure (divergence, failed gradient check).
+mismatches), 2 numerical failure (divergence, failed gradient check).  A
+malformed JSON input exits 1 naming its key; in a batch, a bad manifest
+stops before any pair runs and a bad volume header fails its pair alone.
 Scalars print with 6 significant digits; CSV files keep full precision.
 """
 
@@ -22,7 +24,8 @@ from . import deform, metrics, phantom
 from .engine import DivergenceError, RegistrationConfig, gradient_check, register_pair
 from .losses import LossBreakdown
 from .metrics import PairMetrics, evaluate_pair, write_metrics_csv
-from .volume import LabelVolume, Volume, one_hot, read_volume, write_volume
+from .volume import (REQUIRED, LabelVolume, Volume, one_hot, read_keys, read_volume,
+                     write_volume)
 
 GRADCHECK_TOLERANCE = 1e-5
 GRADCHECK_MAX_DIM = 8
@@ -38,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # Failures reported as an exit code and a message rather than a traceback.
-_REPORTED = (_CliError, DivergenceError, ValueError, KeyError, OSError)
+_REPORTED = (_CliError, DivergenceError, ValueError, OSError)
 
 
 def _failure(e: Exception) -> tuple[int, str]:
@@ -72,11 +75,16 @@ def _read_field(path) -> deform.DeformationField:
     return deform.volume_to_field(_read_image(path))
 
 
-def _load_config(path) -> RegistrationConfig:
+def _read_text(path, what: str) -> str:
+    """The text of an input file; ``what`` names it if it does not exist."""
     p = Path(path)
     if not p.exists():
-        raise _CliError(f"config file not found: {p}")
-    return RegistrationConfig.from_json(p.read_text())
+        raise _CliError(f"{what} not found: {p}")
+    return p.read_text()
+
+
+def _load_config(path) -> RegistrationConfig:
+    return RegistrationConfig.from_json(_read_text(path, "config file"))
 
 
 def _write_trace_csv(path, trace: list[LossBreakdown]) -> None:
@@ -173,33 +181,24 @@ def _run_pair(job: dict) -> tuple[int, str]:
         return code, f"{_pair_name(job)}: {message}"
 
 
-_PAIR_KEYS = ("moving", "fixed", "moving_labels", "fixed_labels", "out_dir")
+# the paths of one pair; a labels path may be null
+_PAIR_KEYS = {"moving": (str, REQUIRED), "fixed": (str, REQUIRED), "out_dir": (str, REQUIRED),
+              "moving_labels": (str, None), "fixed_labels": (str, None)}
 
 
 def _read_manifest(path) -> list[dict]:
     """Every pair of a batch manifest, each entry checked before any pair runs."""
-    manifest_path = Path(path)
-    if not manifest_path.exists():
-        raise _CliError(f"pairs manifest not found: {manifest_path}")
-    entries = json.loads(manifest_path.read_text())
+    entries = json.loads(_read_text(path, "pairs manifest"))
     if not isinstance(entries, list) or not entries:
         raise _CliError("pairs manifest must be a non-empty JSON list")
-    pairs = []
-    for i, e in enumerate(entries):
-        if not isinstance(e, dict):
-            raise _CliError(f"pairs manifest entry {i} must be a JSON object, "
-                            f"got {json.dumps(e)}")
-        missing = [key for key in ("moving", "fixed", "out_dir") if key not in e]
-        if missing:
-            raise _CliError(f"pairs manifest entry {i} lacks {', '.join(missing)}")
-        for key in _PAIR_KEYS:
-            value = e.get(key)
-            if not isinstance(value, str) and not (value is None and key.endswith("labels")):
-                raise _CliError(f"pairs manifest entry {i}: {key} must be a path string, "
-                                f"got {json.dumps(value)}")
-        pair = {key: e.get(key) for key in _PAIR_KEYS}
-        pair["pair_id"] = e.get("pair_id", f"pair{i:03d}")
-        pairs.append(pair)
+    pairs = [read_keys(f"pairs manifest entry {i}", e,
+                       dict(_PAIR_KEYS, pair_id=(str, f"pair{i:03d}")))
+             for i, e in enumerate(entries)]
+    first: dict[Path, int] = {}  # pairs that share an out_dir overwrite each other
+    for i, pair in enumerate(pairs):
+        if (j := first.setdefault(Path(pair["out_dir"]).resolve(), i)) != i:
+            raise _CliError(f"pairs manifest entries {j} and {i} share out_dir "
+                            f"{pair['out_dir']}")
     return pairs
 
 
@@ -276,14 +275,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.exists():
-        raise _CliError(f"phantom spec not found: {spec_path}")
-    spec = phantom.PhantomSpec.from_json(spec_path.read_text())
-    warp_path = Path(args.warp)
-    if not warp_path.exists():
-        raise _CliError(f"warp spec not found: {warp_path}")
-    warp_spec = phantom.AnalyticWarp.from_json(warp_path.read_text())
+    spec = phantom.PhantomSpec.from_json(_read_text(args.spec, "phantom spec"))
+    warp_spec = phantom.AnalyticWarp.from_json(_read_text(args.warp, "warp spec"))
     pair = phantom.make_pair(spec, warp_spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -33,7 +33,7 @@ import numpy as np
 from . import deform
 from .deform import DeformationField, PreActivationField
 from .losses import LossBreakdown, LossWeights, loss_total
-from .volume import LabelVolume, Volume, one_hot
+from .volume import LabelVolume, Volume, one_hot, read_keys
 
 
 class DivergenceError(RuntimeError):
@@ -83,28 +83,11 @@ class RegistrationConfig:
 
         ``seed`` is accepted and ignored: initialization is all zeros.
         """
-        raw = json.loads(text)
-        if not isinstance(raw, dict):
-            raise ValueError("config must be a JSON object")
-        defaults = cls()._flat()
-        unknown = set(raw) - set(defaults) - {"seed"}
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        values = {key: _typed(key, raw.get(key, d), d) for key, d in defaults.items()}
+        keys = {key: (type(d), d) for key, d in cls()._flat().items()}
+        values = read_keys("config", json.loads(text), dict(keys, seed=(object, None)))
+        del values["seed"]
         weights = LossWeights(**{f.name: values.pop(f.name) for f in fields(LossWeights)})
         return cls(weights=weights, **values)
-
-
-def _typed(key: str, value, default):
-    """A JSON value as its default's type: int keys take integers, float keys numbers."""
-    kinds = (int,) if isinstance(default, int) else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if kinds == (int,) else "a number"
-        raise ValueError(f"config key {key!r} must be {kind}, got {json.dumps(value)}")
-    try:
-        return type(default)(value)
-    except OverflowError:
-        raise ValueError(f"config key {key!r} is out of range for a float") from None
 
 
 @dataclass

@@ -8,7 +8,8 @@ independent of the platform's library RNG.
 
 Analytic warps (x-translation, sinusoidal x-shear) have closed-form inverses
 and unit Jacobian determinant away from borders, giving exact oracles for
-inverse-consistency and recovery tests.
+inverse-consistency and recovery tests.  Specs and warps are read with
+``volume.read_keys``: an unknown key or a value of another type is rejected.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import deform
 from .deform import DeformationField
-from .volume import LabelVolume, Volume
+from .volume import REQUIRED, LabelVolume, Volume, read_keys
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -78,8 +79,8 @@ class PhantomSpec:
         if len(self.dims) != 3 or min(self.dims) < 1:
             raise ValueError(f"dims must be 3 positive counts, got {self.dims}")
         labels = [e.label for e in self.ellipsoids]
-        if any(lb <= 0 for lb in labels):
-            raise ValueError("ellipsoid labels must be positive")
+        if any(not 0 < lb <= np.iinfo(np.uint16).max for lb in labels):
+            raise ValueError(f"ellipsoid labels must be in 1..65535, got {labels}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"ellipsoid labels must be distinct, got {labels}")
         for e in self.ellipsoids:
@@ -96,19 +97,15 @@ class PhantomSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "PhantomSpec":
-        raw = json.loads(text)
-        ellipsoids = [
-            Ellipsoid(tuple(e["center"]), tuple(e["semi_axes"]),
-                      int(e["label"]), float(e["intensity"]))
-            for e in raw.get("ellipsoids", [])
-        ]
-        return cls(
-            dims=tuple(raw["dims"]),
-            ellipsoids=ellipsoids,
-            background=float(raw.get("background", 0.0)),
-            noise_sigma=float(raw.get("noise_sigma", 0.0)),
-            seed=int(raw.get("seed", 0)),
-        )
+        values = read_keys("phantom spec", json.loads(text), {
+            "dims": ((int, 3), REQUIRED), "ellipsoids": (list, []),
+            "background": (float, 0.0), "noise_sigma": (float, 0.0), "seed": (int, 0)})
+        values["ellipsoids"] = [
+            Ellipsoid(**read_keys(f"phantom spec ellipsoid {i}", e, {
+                "center": ((float, 3), REQUIRED), "semi_axes": ((float, 3), REQUIRED),
+                "label": (int, REQUIRED), "intensity": (float, REQUIRED)}))
+            for i, e in enumerate(values["ellipsoids"])]
+        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -140,10 +137,9 @@ class AnalyticWarp:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalyticWarp":
-        raw = json.loads(text)
-        wavelength = raw.get("wavelength")
-        return cls(kind=str(raw["kind"]), amplitude=float(raw["amplitude"]),
-                   wavelength=None if wavelength is None else float(wavelength))
+        return cls(**read_keys("warp spec", json.loads(text), {
+            "kind": (str, REQUIRED), "amplitude": (float, REQUIRED),
+            "wavelength": (float, None)}))
 
 
 def make_phantom(spec: PhantomSpec) -> tuple[Volume, LabelVolume]:

@@ -6,7 +6,9 @@ of files: ``<name>.json`` (header) plus ``<name>.raw`` (little-endian payload,
 channel-major, x-fastest within each channel).  The header's dtype tag is the
 payload precision; data is cast to it on write.  The header also names its
 payload by ``payload_crc32``, the CRC-32 of the payload bytes, so a header
-never reads back with a payload it was not written with.
+never reads back with a payload it was not written with.  Headers and every
+other JSON input of gradreg are read through ``read_keys``, which checks them
+against the keys its caller lists.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import json
 import os
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,51 @@ PAYLOAD_DTYPES = {
     "f64": np.dtype("<f8"),
     "u16": np.dtype("<u2"),
 }
+
+
+REQUIRED = object()  # the default of a key that an input must give
+# an error's words for each kind: one value, and several in a list
+_NOUNS = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+          str: ("a string", "strings"), list: ("a list", "lists")}
+
+
+def read_keys(name: str, raw, keys: dict) -> dict:
+    """The values of ``keys`` in ``raw``, a parsed JSON input called ``name``.
+
+    ``keys`` maps each key to ``(kind, default)``.  ``int`` takes a JSON
+    integer, ``float`` any number (returned as a float), ``str`` a string,
+    ``list`` a list, ``object`` anything, and ``(kind, n)`` a list of ``n``
+    of them (returned as a tuple); a bool is not a number.  Null is allowed
+    where the default is None, and an absent key takes its default unless
+    that is ``REQUIRED``.  Anything else raises ValueError naming the key.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    if unknown := set(raw) - set(keys):
+        raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    values = {}
+    for key, (kind, default) in keys.items():
+        values[key] = value = raw.get(key, default)
+        what = f"{name} key {key!r}"
+        if value is REQUIRED:
+            raise ValueError(f"{what} is missing")
+        if key not in raw or value is None and default is None:
+            continue
+        kind, n = kind if isinstance(kind, tuple) else (kind, None)
+        items = [value] if n is None else value
+        types = (int, float) if kind is float else kind
+        fits = n is None or isinstance(value, list) and len(value) == n
+        if not (fits and all(isinstance(v, types)
+                             and (kind is object or not isinstance(v, bool)) for v in items)):
+            one, several = _NOUNS[kind]
+            noun = one if n is None else f"a list of {n} {several}"
+            raise ValueError(f"{what} must be {noun}, got {json.dumps(value)}")
+        try:
+            items = [float(v) if kind is float else v for v in items]
+        except OverflowError:
+            raise ValueError(f"{what} is out of range for a float") from None
+        values[key] = items[0] if n is None else tuple(items)
+    return values
 
 
 @dataclass
@@ -104,8 +151,8 @@ class VolumeHeader:
     channels: int
     spacing_mm: tuple[float, float, float]
     dtype: str
-    byte_order: str = "little"
     order: str = "x-fastest"
+    byte_order: str = "little"
     payload_crc32: int | None = None  # absent in headers written before it existed
 
     def __post_init__(self):
@@ -130,17 +177,7 @@ class VolumeHeader:
         return self.voxel_count * self.channels * PAYLOAD_DTYPES[self.dtype].itemsize
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dims": list(self.dims),
-                "channels": self.channels,
-                "spacing_mm": list(self.spacing_mm),
-                "dtype": self.dtype,
-                "order": self.order,
-                "byte_order": self.byte_order,
-                "payload_crc32": self.payload_crc32,
-            }
-        )
+        return json.dumps(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "VolumeHeader":
@@ -148,21 +185,11 @@ class VolumeHeader:
             raw = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValueError(f"corrupt volume header: {e}") from e
-        if not isinstance(raw, dict):
-            raise ValueError("corrupt volume header: not a JSON object")
-        try:
-            return cls(
-                dims=tuple(int(d) for d in raw["dims"]),
-                channels=int(raw["channels"]),
-                spacing_mm=tuple(float(s) for s in raw["spacing_mm"]),
-                dtype=str(raw["dtype"]),
-                byte_order=str(raw.get("byte_order", "little")),
-                order=str(raw.get("order", "x-fastest")),
-                payload_crc32=None if raw.get("payload_crc32") is None
-                else int(raw["payload_crc32"]),
-            )
-        except KeyError as e:
-            raise ValueError(f"volume header missing field {e.args[0]!r}") from e
+        return cls(**read_keys("volume header", raw, {
+            "dims": ((int, 3), REQUIRED), "channels": (int, REQUIRED),
+            "spacing_mm": ((float, 3), REQUIRED), "dtype": (str, REQUIRED),
+            "order": (str, "x-fastest"), "byte_order": (str, "little"),
+            "payload_crc32": (int, None)}))
 
 
 def _sidecar_paths(path) -> tuple[Path, Path]:

@@ -234,6 +234,32 @@ def test_phantom_missing_spec_exit_1(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def with_label(label):
+    return dict(PHANTOM_SPEC, ellipsoids=[dict(PHANTOM_SPEC["ellipsoids"][0], label=label)])
+
+
+@pytest.mark.parametrize("spec, warp, named", [
+    ([], WARP_SPEC, "phantom spec must be a JSON object"),
+    ({"dims": 5}, WARP_SPEC, "phantom spec key 'dims' must be a list of 3 integers, got 5"),
+    (with_label(1.7), WARP_SPEC, "ellipsoid 0 key 'label' must be an integer, got 1.7"),
+    (with_label(70000), WARP_SPEC, "ellipsoid labels must be in 1..65535, got [70000]"),
+    (dict(PHANTOM_SPEC, noise_sigm=0.1), WARP_SPEC,
+     "unknown phantom spec keys: ['noise_sigm']"),
+    (PHANTOM_SPEC, dict(WARP_SPEC, wavelength="x"),
+     "warp spec key 'wavelength' must be a number, got \"x\""),
+], ids=["not-an-object", "dims-not-a-list", "fractional-label", "label-too-large",
+        "unknown-key", "wavelength-string"])
+def test_phantom_malformed_spec_exit_1(tmp_path, capsys, spec, warp, named):
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "warp.json").write_text(json.dumps(warp))
+    assert run("phantom", "--spec", tmp_path / "spec.json",
+               "--warp", tmp_path / "warp.json", "--out-dir", tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert named in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # register
 
@@ -308,15 +334,15 @@ def batch_entry(workdir, name):
 
 @pytest.mark.parametrize("bad_entry, message", [
     ([1], "entry 1 must be a JSON object"),
-    ({"fixed": "img", "out_dir": "never"}, "entry 1 lacks moving"),
+    ({"fixed": "img", "out_dir": "never"}, "pairs manifest entry 1 key 'moving' is missing"),
     ({"fixed": "img", "moving": 5, "out_dir": "never"},
-     "entry 1: moving must be a path string, got 5"),
+     "pairs manifest entry 1 key 'moving' must be a string, got 5"),
     ({"fixed": ["img"], "moving": "img", "out_dir": "never"},
-     "entry 1: fixed must be a path string"),
+     "pairs manifest entry 1 key 'fixed' must be a string, got [\"img\"]"),
     ({"fixed": "img", "moving": "img", "out_dir": None},
-     "entry 1: out_dir must be a path string, got null"),
+     "pairs manifest entry 1 key 'out_dir' must be a string, got null"),
     ({"fixed": "img", "moving": "img", "out_dir": "never", "moving_labels": 3},
-     "entry 1: moving_labels must be a path string"),
+     "pairs manifest entry 1 key 'moving_labels' must be a string, got 3"),
 ])
 def test_register_batch_bad_entry_exit_1_before_any_pair(workdir, capsys, bad_entry,
                                                           message):
@@ -325,6 +351,17 @@ def test_register_batch_bad_entry_exit_1_before_any_pair(workdir, capsys, bad_en
     assert run("register", "--pairs", workdir / "pairs.json",
                "--config", workdir / "config.json") == 1
     assert message in capsys.readouterr().err
+    assert not (workdir / "first").exists()
+
+
+def test_register_batch_shared_out_dir_exit_1_before_any_pair(workdir, capsys):
+    # entries 1 and 2 spell the same directory in two ways
+    manifest = [batch_entry(workdir, "first"), batch_entry(workdir, "shared"),
+                batch_entry(workdir, "x/../shared")]
+    (workdir / "pairs.json").write_text(json.dumps(manifest))
+    assert run("register", "--pairs", workdir / "pairs.json",
+               "--config", workdir / "config.json") == 1
+    assert "entries 1 and 2 share out_dir" in capsys.readouterr().err
     assert not (workdir / "first").exists()
 
 
@@ -354,16 +391,29 @@ def test_register_multistep_warp_matches_reapplied_field(workdir):
     assert float(np.max(np.abs(rewarped - saved))) < 1e-4
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_register_batch_failed_pair_keeps_the_others(workdir, capsys, jobs):
-    manifest = [dict(batch_entry(workdir, "lost"), moving=str(workdir / "absent"),
-                     pair_id="broken"),
+def bad_moving_volume(workdir, kind) -> tuple[Path, str]:
+    """A moving volume that fails to read, and the error it fails with."""
+    if kind == "missing-file":
+        return workdir / "absent", "missing volume header"
+    header = json.loads((workdir / "img.json").read_text())
+    (workdir / "bad.json").write_text(json.dumps(dict(header, dims=5)))
+    (workdir / "bad.raw").write_bytes((workdir / "img.raw").read_bytes())
+    return workdir / "bad", "volume header key 'dims' must be a list of 3 integers, got 5"
+
+
+@pytest.mark.parametrize("jobs, kind", [
+    ("1", "missing-file"), ("2", "missing-file"),
+    ("1", "malformed-header"), ("2", "malformed-header"),
+], ids=["1", "2", "1-malformed-header", "2-malformed-header"])
+def test_register_batch_failed_pair_keeps_the_others(workdir, capsys, jobs, kind):
+    moving, message = bad_moving_volume(workdir, kind)
+    manifest = [dict(batch_entry(workdir, "lost"), moving=str(moving), pair_id="broken"),
                 dict(batch_entry(workdir, "kept"), pair_id="healthy")]
     (workdir / "pairs.json").write_text(json.dumps(manifest))
     assert run("--jobs", jobs, "register", "--pairs", workdir / "pairs.json",
                "--config", workdir / "config.json") == 1
     captured = capsys.readouterr()
-    assert "broken: error: missing volume header" in captured.err
+    assert f"broken: error: {message}" in captured.err
     assert "healthy: iterations=" in captured.out
     for name in ("phi_moving_to_fixed.raw", "warped_moving.raw", "loss_trace.csv",
                  "metrics.csv"):

@@ -458,8 +458,9 @@ def test_config_json_round_trip():
 
 
 def test_config_ignores_legacy_seed_key():
-    config = RegistrationConfig.from_json('{"steps": 3, "seed": 0}')
-    assert config == RegistrationConfig(steps=3)
+    for seed in ("0", "true", "null", '"x"', "[1.5, {}]"):
+        config = RegistrationConfig.from_json(f'{{"steps": 3, "seed": {seed}}}')
+        assert config == RegistrationConfig(steps=3)
 
 
 def test_config_rejects_unknown_keys():

@@ -1,18 +1,27 @@
 import builtins
 import json
 import os
+import tempfile
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from gradreg import volume
+from gradreg import cli, volume
+from gradreg.engine import RegistrationConfig
+from gradreg.phantom import AnalyticWarp, PhantomSpec
 from gradreg.volume import (
+    REQUIRED,
     LabelVolume,
     Volume,
+    VolumeHeader,
     hu_window,
     largest_component,
     one_hot,
+    read_keys,
     read_volume,
     stack_windows,
     write_volume,
@@ -392,3 +401,93 @@ def test_one_hot_errors():
         one_hot(lv, [0, 1])
     with pytest.raises(ValueError, match="non-empty"):
         one_hot(lv, [])
+
+
+# ---------------------------------------------------------------------------
+# JSON inputs
+
+
+READ_KEYS = {"n": (int, 1), "x": (float, REQUIRED), "path": (str, None),
+             "v": ((float, 3), (0.0, 0.0, 0.0)), "any": (object, None)}
+
+
+def test_read_keys_converts_and_defaults():
+    assert read_keys("input", {"x": 2}, READ_KEYS) == {
+        "n": 1, "x": 2.0, "path": None, "v": (0.0, 0.0, 0.0), "any": None}
+    values = read_keys("input", {"n": 3, "x": 0.5, "path": "p", "v": [1, 2, 3.5],
+                                 "any": [True]}, READ_KEYS)
+    assert values == {"n": 3, "x": 0.5, "path": "p", "v": (1.0, 2.0, 3.5), "any": [True]}
+    assert type(values["x"]) is float and type(values["v"][0]) is float
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([], "input must be a JSON object"),
+    ({"x": 1, "y": 2, "a": 3}, "unknown input keys: ['a', 'y']"),
+    ({}, "input key 'x' is missing"),
+    ({"x": None}, "input key 'x' must be a number, got null"),
+    ({"x": True}, "input key 'x' must be a number, got true"),
+    ({"x": 1, "n": 1.0}, "input key 'n' must be an integer, got 1.0"),
+    ({"x": 1, "path": 5}, "input key 'path' must be a string, got 5"),
+    ({"x": 1, "v": [1, 2]}, "input key 'v' must be a list of 3 numbers, got [1, 2]"),
+    ({"x": 1, "v": [1, 2, False]}, "input key 'v' must be a list of 3 numbers"),
+    ({"x": 1, "v": None}, "input key 'v' must be a list of 3 numbers, got null"),
+    ({"x": 10**400}, "input key 'x' is out of range for a float"),
+])
+def test_read_keys_rejects_malformed_input(raw, message):
+    with pytest.raises(ValueError) as e:
+        read_keys("input", raw, READ_KEYS)
+    assert message in str(e.value)
+
+
+def test_misspelt_checksum_key_rejected(tmp_path):
+    write_volume(random_volume(np.random.default_rng(15)), tmp_path / "vol")
+    header = json.loads((tmp_path / "vol.json").read_text())
+    header["payload_crc"] = header.pop("payload_crc32")
+    (tmp_path / "vol.json").write_text(json.dumps(header))
+    with pytest.raises(ValueError, match="unknown volume header keys: \\['payload_crc'\\]"):
+        read_volume(tmp_path / "vol")
+
+
+def read_manifest_text(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.json"
+        path.write_text(text)
+        return cli._read_manifest(path)
+
+
+# the five JSON readers, each with the keys it knows
+READERS = {
+    "config": (RegistrationConfig.from_json, [*RegistrationConfig()._flat(), "seed"]),
+    "volume header": (VolumeHeader.from_json,
+                      ["dims", "channels", "spacing_mm", "dtype", "byte_order", "order",
+                       "payload_crc32"]),
+    "phantom spec": (PhantomSpec.from_json,
+                     ["dims", "ellipsoids", "background", "noise_sigma", "seed", "center",
+                      "semi_axes", "label", "intensity"]),
+    "warp spec": (AnalyticWarp.from_json, ["kind", "amplitude", "wavelength"]),
+    "pairs manifest": (read_manifest_text,
+                       ["moving", "fixed", "moving_labels", "fixed_labels", "out_dir",
+                        "pair_id"]),
+}
+INPUT_KEYS = sorted({key for _, keys in READERS.values() for key in keys} | {"unknown"})
+
+numbers = st.integers(-2, 40) | st.integers(-10**400, 10**400) | st.floats()
+json_values = st.recursive(
+    st.none() | st.booleans() | numbers | st.text(max_size=6)
+    | st.lists(numbers, min_size=3, max_size=3),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.sampled_from(INPUT_KEYS), children, max_size=6)),
+    max_leaves=16,
+)
+
+
+@pytest.mark.parametrize("reader", READERS)
+@given(data=st.data())
+def test_json_readers_raise_only_value_errors(reader, data):
+    parse, keys = READERS[reader]
+    own = st.dictionaries(st.sampled_from([*keys, "unknown"]), json_values, max_size=8)
+    value = data.draw(st.lists(own, max_size=3) | own | json_values)
+    try:
+        parse(json.dumps(value))
+    except (ValueError, cli._CliError):
+        pass  # a malformed input: reported with exit code 1
