@@ -3,8 +3,9 @@
 Subcommands: register, warp, jacobian, metrics, phantom, gradcheck.
 Exit codes: 0 success, 1 user error (bad paths, malformed inputs, shape
 mismatches), 2 numerical failure (divergence, failed gradient check).  A
-malformed JSON input exits 1 naming its key; in a batch, a bad manifest
-stops before any pair runs and a bad volume header fails its pair alone.
+malformed JSON input exits 1 naming its file and key; in a batch, a bad
+manifest stops before any pair runs and a bad volume header fails its pair
+alone.
 Scalars print with 6 significant digits; CSV files keep full precision.
 """
 
@@ -75,16 +76,20 @@ def _read_field(path) -> deform.DeformationField:
     return deform.volume_to_field(_read_image(path))
 
 
-def _read_text(path, what: str) -> str:
-    """The text of an input file; ``what`` names it if it does not exist."""
+def _read_input(path, what: str, parse):
+    """``parse`` of the text of an input file; ``what`` names the file if it
+    does not exist, and an error raised while parsing ends with its path."""
     p = Path(path)
     if not p.exists():
         raise _CliError(f"{what} not found: {p}")
-    return p.read_text()
+    try:
+        return parse(p.read_text())
+    except ValueError as e:
+        raise ValueError(f"{e} (in {p})") from e
 
 
 def _load_config(path) -> RegistrationConfig:
-    return RegistrationConfig.from_json(_read_text(path, "config file"))
+    return _read_input(path, "config file", RegistrationConfig.from_json)
 
 
 def _write_trace_csv(path, trace: list[LossBreakdown]) -> None:
@@ -144,31 +149,28 @@ def _register_one(job: dict) -> str:
     write_volume(result.b_warp, out_dir / "warped_fixed")
     _write_trace_csv(out_dir / "loss_trace.csv", result.trace)
 
-    rows: list[tuple[str, PairMetrics]] = []
+    before = None
     if moving_labels is not None and label_set:
         warped_moving_labels = deform.warp_labels(moving_labels, result.phi_ab)
         warped_fixed_labels = deform.warp_labels(fixed_labels, result.phi_ba)
         write_volume(warped_moving_labels, out_dir / "warped_moving_labels")
         write_volume(warped_fixed_labels, out_dir / "warped_fixed_labels")
         identity = deform.identity_field(fixed.dims)
-        rows.append(("before", evaluate_pair(fixed_labels, moving_labels, identity,
-                                             label_set, spacing)))
-        rows.append(("after", evaluate_pair(fixed_labels, warped_moving_labels,
-                                            result.phi_ab, label_set, spacing)))
-        write_metrics_csv(out_dir / "metrics.csv", rows)
+        before = evaluate_pair(fixed_labels, moving_labels, identity, label_set, spacing)
+        after = evaluate_pair(fixed_labels, warped_moving_labels, result.phi_ab,
+                              label_set, spacing)
     else:
-        rows.append(("after", PairMetrics({}, {}, None, metrics.sdlogj(result.phi_ab))))
-        write_metrics_csv(out_dir / "metrics.csv", rows)
+        after = PairMetrics({}, {}, None, metrics.sdlogj(result.phi_ab))
+    rows = [("after", after)] if before is None else [("before", before), ("after", after)]
+    write_metrics_csv(out_dir / "metrics.csv", rows)
 
     summary = (
         f"{_pair_name(job)}: iterations={result.iterations_run} "
         f"total={_fmt(result.final.total)}"
     )
-    if rows and rows[-1][1].mean_dice is not None:
-        before = next((pm.mean_dice for pid, pm in rows if pid == "before"), None)
-        if before is not None:
-            summary += f" dice {_fmt(before)} -> {_fmt(rows[-1][1].mean_dice)}"
-    summary += f" sdlogj={_fmt(rows[-1][1].sdlogj)}"
+    if before is not None and before.mean_dice is not None and after.mean_dice is not None:
+        summary += f" dice {_fmt(before.mean_dice)} -> {_fmt(after.mean_dice)}"
+    summary += f" sdlogj={_fmt(after.sdlogj)}"
     return summary
 
 
@@ -186,14 +188,18 @@ _PAIR_KEYS = {"moving": (str, REQUIRED), "fixed": (str, REQUIRED), "out_dir": (s
               "moving_labels": (str, None), "fixed_labels": (str, None)}
 
 
+def _parse_manifest(text: str) -> list[dict]:
+    entries = json.loads(text)
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("pairs manifest must be a non-empty JSON list")
+    return [read_keys(f"pairs manifest entry {i}", e,
+                      dict(_PAIR_KEYS, pair_id=(str, f"pair{i:03d}")))
+            for i, e in enumerate(entries)]
+
+
 def _read_manifest(path) -> list[dict]:
     """Every pair of a batch manifest, each entry checked before any pair runs."""
-    entries = json.loads(_read_text(path, "pairs manifest"))
-    if not isinstance(entries, list) or not entries:
-        raise _CliError("pairs manifest must be a non-empty JSON list")
-    pairs = [read_keys(f"pairs manifest entry {i}", e,
-                       dict(_PAIR_KEYS, pair_id=(str, f"pair{i:03d}")))
-             for i, e in enumerate(entries)]
+    pairs = _read_input(path, "pairs manifest", _parse_manifest)
     first: dict[Path, int] = {}  # pairs that share an out_dir overwrite each other
     for i, pair in enumerate(pairs):
         if (j := first.setdefault(Path(pair["out_dir"]).resolve(), i)) != i:
@@ -275,8 +281,8 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_phantom(args) -> int:
-    spec = phantom.PhantomSpec.from_json(_read_text(args.spec, "phantom spec"))
-    warp_spec = phantom.AnalyticWarp.from_json(_read_text(args.warp, "warp spec"))
+    spec = _read_input(args.spec, "phantom spec", phantom.PhantomSpec.from_json)
+    warp_spec = _read_input(args.warp, "warp spec", phantom.AnalyticWarp.from_json)
     pair = phantom.make_pair(spec, warp_spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

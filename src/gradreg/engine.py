@@ -5,11 +5,11 @@ directions: the positive field generates the A-to-B deformation, its negation
 the B-to-A one, so swapping the inputs and negating the parameters exchanges
 the two directions exactly.  Each step re-registers the previously warped
 volumes onto the original targets; the objective is the sum of the five-term
-loss over all steps.  A run's exposed fields compose the step fields, and its
-exposed warped volumes are the inputs warped once with those fields, so
-re-applying a saved field reproduces the saved warp; the sequential per-step
-warps the losses see stay in the run's ``steps``.  The registration result is
-a plain value: the final pass's exposed fields, warps and loss, and the history.
+loss over all steps.  A forward pass is its steps and their summed loss.  One
+final pass turns the optimized deltas into the registration result, a plain
+value: the composition of the step fields, the inputs warped once with it (so
+re-applying a saved field reproduces the saved warp, while the losses saw the
+sequential per-step warps), the final loss and the history.
 
 The forward pass computes values only and keeps the loss pullbacks; the
 backward pass runs them.  Gradients are exact reverse-mode vector-Jacobian
@@ -26,7 +26,6 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -133,33 +132,10 @@ def _compose_steps(phis: list[DeformationField]) -> DeformationField:
 
 @dataclass
 class MultistepForward:
-    """All steps of one forward pass and its two inputs.
-
-    The composed fields, and the inputs warped once with them, are built on
-    first access; the sequential per-step warps stay in ``steps``.  With one
-    step the composed fields are the step's, and so are the warps.
-    """
+    """All steps of one forward pass and their summed loss."""
 
     steps: list[StepForward]
     breakdown: LossBreakdown
-    a: Volume
-    b: Volume
-
-    @cached_property
-    def phi_ab(self) -> DeformationField:
-        return _compose_steps([s.phi_ab for s in self.steps])
-
-    @cached_property
-    def phi_ba(self) -> DeformationField:
-        return _compose_steps([s.phi_ba for s in self.steps])
-
-    @cached_property
-    def a_warp(self) -> Volume:
-        return self.steps[0].a_warp if len(self.steps) == 1 else deform.warp(self.a, self.phi_ab)
-
-    @cached_property
-    def b_warp(self) -> Volume:
-        return self.steps[0].b_warp if len(self.steps) == 1 else deform.warp(self.b, self.phi_ba)
 
 
 @dataclass
@@ -184,13 +160,8 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
     Each step generates the A-to-B direction from +delta and the B-to-A
     direction from -delta, so swapping the inputs and negating the deltas
     yields the exact mirror.  The loss applies to every step's warped volumes
-    against the original targets and the step totals add up.  The exposed
-    fields are the per-step compositions, and the exposed ``a_warp``/``b_warp``
-    are the inputs warped once with them, so re-applying a saved field
-    reproduces them; the sequential per-step warps that the losses see live
-    in ``steps``.  Fields and warps are built on first access, so a forward
-    pass that never reads them skips the composes; with one step they equal
-    that step's fields and warps.
+    against the original targets and the step totals add up.  Each step keeps
+    its fields and the sequential warps that its loss saw.
     """
     if not deltas:
         raise ValueError("at least one parameter field is required")
@@ -217,7 +188,7 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
                                  a_seg_cur, b_seg_cur, breakdown, pullbacks))
     breakdown = LossBreakdown(*(sum(getattr(s.breakdown, f.name) for s in steps)
                                 for f in fields(LossBreakdown)))
-    return MultistepForward(steps, breakdown, a, b)
+    return MultistepForward(steps, breakdown)
 
 
 # What each step field samples, by the cotangent key of the result, in the
@@ -286,20 +257,6 @@ def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
     return grads
 
 
-def _result(run: MultistepForward, deltas: list[PreActivationField],
-            trace: list[LossBreakdown], converged: bool) -> RegistrationResult:
-    """A final forward pass as a result.  No backward pass follows it, so its
-    pullbacks and their residual arrays go before the composed fields and warps
-    are built; the exposed fields keep no sample plans."""
-    for step in run.steps:
-        step.pullbacks.clear()
-    result = RegistrationResult(run.phi_ab, run.phi_ba, run.a_warp, run.b_warp,
-                                run.breakdown, deltas, trace, len(trace), converged)
-    result.phi_ab.drop_plan()
-    result.phi_ba.drop_plan()
-    return result
-
-
 def objective_and_gradient(a: Volume, b: Volume, deltas: list[PreActivationField],
                            config: RegistrationConfig, segs=None):
     """Total multistep loss and its exact gradient w.r.t. every delta field."""
@@ -308,14 +265,9 @@ def objective_and_gradient(a: Volume, b: Volume, deltas: list[PreActivationField
     return run.breakdown.total, grads
 
 
-def optimize(a: Volume, b: Volume, config: RegistrationConfig,
-             segs=None) -> RegistrationResult:
-    """Adam-optimize the per-step parameter fields for one volume pair.
-
-    Runs for ``config.iterations`` iterations or until the relative change of
-    the total loss over a 10-iteration window drops below the convergence
-    tolerance.  Bit-reproducible for identical inputs and config.
-    """
+def _adam(a: Volume, b: Volume, config: RegistrationConfig,
+          segs) -> tuple[list[PreActivationField], list[LossBreakdown], bool]:
+    """The Adam loop: the optimized deltas, the loss trace and whether it converged."""
     shape = (3,) + deform.control_dims_for(a.dims, config.control_stride)
     # every step starts at the identity deformation
     deltas = [PreActivationField(np.zeros(shape), stride=config.control_stride)
@@ -324,7 +276,6 @@ def optimize(a: Volume, b: Volume, config: RegistrationConfig,
     v = [np.zeros(shape) for _ in deltas]
     trace: list[LossBreakdown] = []
     beta1, beta2 = ADAM_BETAS
-    converged = False
     for t in range(1, config.iterations + 1):
         run = multistep_forward(a, b, deltas, config.weights, segs=segs)
         trace.append(run.breakdown)
@@ -343,12 +294,47 @@ def optimize(a: Volume, b: Volume, config: RegistrationConfig,
         if len(trace) >= 11:
             ref = trace[-11].total
             if abs(trace[-1].total - ref) < config.convergence_tol * max(abs(ref), 1e-300):
-                converged = True
-                break
-    final = multistep_forward(a, b, deltas, config.weights, segs=segs)
-    if not np.isfinite(final.breakdown.total):
+                return deltas, trace, True
+    return deltas, trace, False
+
+
+def _final_pass(a: Volume, b: Volume, deltas: list[PreActivationField],
+                config: RegistrationConfig, segs, trace: list[LossBreakdown],
+                converged: bool) -> RegistrationResult:
+    """The result of one forward pass over ``deltas``: the composed step fields
+    and the inputs warped once with them (with one step, the step's own).
+
+    No backward pass follows, so the pullbacks and their residual arrays go
+    before the fields are composed; the exposed fields keep no sample plans.
+    """
+    run = multistep_forward(a, b, deltas, config.weights, segs=segs)
+    if not np.isfinite(run.breakdown.total):
         raise DivergenceError("objective became non-finite after the last update", trace)
-    return _result(final, deltas, trace, converged)
+    for step in run.steps:
+        step.pullbacks.clear()
+    phi_ab = _compose_steps([s.phi_ab for s in run.steps])
+    phi_ba = _compose_steps([s.phi_ba for s in run.steps])
+    if len(run.steps) == 1:
+        a_warp, b_warp = run.steps[0].a_warp, run.steps[0].b_warp
+    else:
+        a_warp, b_warp = deform.warp(a, phi_ab), deform.warp(b, phi_ba)
+    phi_ab.drop_plan()
+    phi_ba.drop_plan()
+    return RegistrationResult(phi_ab, phi_ba, a_warp, b_warp, run.breakdown, deltas,
+                              trace, len(trace), converged)
+
+
+def optimize(a: Volume, b: Volume, config: RegistrationConfig,
+             segs=None) -> RegistrationResult:
+    """Adam-optimize the per-step parameter fields for one volume pair.
+
+    Runs for ``config.iterations`` iterations or until the relative change of
+    the total loss over a 10-iteration window drops below the convergence
+    tolerance, then builds the result in one final forward pass.
+    Bit-reproducible for identical inputs and config.
+    """
+    deltas, trace, converged = _adam(a, b, config, segs)
+    return _final_pass(a, b, deltas, config, segs, trace, converged)
 
 
 def register_pair(a: Volume, b: Volume, config: RegistrationConfig, segs=None,
@@ -363,12 +349,10 @@ def register_pair(a: Volume, b: Volume, config: RegistrationConfig, segs=None,
         raise ValueError(
             f"inference steps must be in [1, {config.steps}], got {inference_steps}"
         )
-    result = optimize(a, b, config, segs=segs)
     if inference_steps is None or inference_steps == config.steps:
-        return result
-    deltas = result.deltas[:inference_steps]
-    run = multistep_forward(a, b, deltas, config.weights, segs=segs)
-    return _result(run, deltas, result.trace, result.converged)
+        return optimize(a, b, config, segs=segs)
+    deltas, trace, converged = _adam(a, b, config, segs)
+    return _final_pass(a, b, deltas[:inference_steps], config, segs, trace, converged)
 
 
 def gradient_check(dims, config: RegistrationConfig, seed: int = 0) -> dict[str, float]:

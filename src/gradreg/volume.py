@@ -1,14 +1,15 @@
 """Volume data model, raw file I/O, CT intensity windowing and label utilities.
 
 Arrays are kept in float64 (images) / uint16 (labels) in memory with shape
-``(channels, nx, ny, nz)`` resp. ``(nx, ny, nz)``.  On disk a volume is a pair
-of files: ``<name>.json`` (header) plus ``<name>.raw`` (little-endian payload,
-channel-major, x-fastest within each channel).  The header's dtype tag is the
-payload precision; data is cast to it on write.  The header also names its
-payload by ``payload_crc32``, the CRC-32 of the payload bytes, so a header
-never reads back with a payload it was not written with.  Headers and every
-other JSON input of gradreg are read through ``read_keys``, which checks them
-against the keys its caller lists.
+``(channels, nx, ny, nz)`` resp. ``(nx, ny, nz)``; ``read_volume`` returns
+them C-contiguous.  On disk a volume is a pair of files: ``<name>.json``
+(header) plus ``<name>.raw`` (little-endian payload, channel-major, x-fastest
+within each channel).  The header's dtype tag is the payload precision; data
+is cast to it on write.  The header also names its payload by
+``payload_crc32``, the CRC-32 of the payload bytes, so a header never reads
+back with a payload it was not written with.  Headers and every other JSON
+input of gradreg are read through ``read_keys``, which checks them against
+the keys its caller lists.
 """
 
 from __future__ import annotations
@@ -209,7 +210,10 @@ def read_volume(path) -> Volume | LabelVolume:
     header_path, raw_path = _sidecar_paths(path)
     if not header_path.exists():
         raise FileNotFoundError(f"missing volume header: {header_path}")
-    header = VolumeHeader.from_json(header_path.read_text())
+    try:
+        header = VolumeHeader.from_json(header_path.read_text())
+    except ValueError as e:
+        raise ValueError(f"{e} (in {header_path})") from e
     if not raw_path.exists():
         raise FileNotFoundError(f"missing volume payload: {raw_path}")
     payload = raw_path.read_bytes()
@@ -218,19 +222,16 @@ def read_volume(path) -> Volume | LabelVolume:
             f"payload length mismatch for {raw_path}: "
             f"expected {header.payload_bytes} bytes, got {len(payload)}"
         )
-    flat = np.frombuffer(payload, dtype=PAYLOAD_DTYPES[header.dtype])
     nx, ny, nz = header.dims
-    per_channel = header.voxel_count
-    channels = [
-        flat[k * per_channel : (k + 1) * per_channel].reshape((nx, ny, nz), order="F")
-        for k in range(header.channels)
-    ]
+    # x-fastest planes on disk; one C-contiguous copy in memory
+    planes = np.frombuffer(payload, dtype=PAYLOAD_DTYPES[header.dtype]).reshape(
+        header.channels, nz, ny, nx).transpose(0, 3, 2, 1)
     if header.dtype == "u16":
         if header.channels != 1:
             raise ValueError("label volumes must have exactly one channel")
-        out = LabelVolume(channels[0], spacing_mm=header.spacing_mm)
+        out = LabelVolume(np.ascontiguousarray(planes[0]), spacing_mm=header.spacing_mm)
     else:
-        data = np.stack([c.astype(np.float64) for c in channels])
+        data = np.ascontiguousarray(planes, dtype=np.float64)
         if not np.all(np.isfinite(data)):
             raise ValueError(f"non-finite values in volume payload {raw_path}")
         out = Volume(data, spacing_mm=header.spacing_mm, dtype=header.dtype)
@@ -240,16 +241,15 @@ def read_volume(path) -> Volume | LabelVolume:
     return out
 
 
-def _replace_file(path: Path, chunks) -> None:
-    """Write ``chunks`` to a temporary sibling of ``path``, then rename it into place.
+def _replace_file(path: Path, payload) -> None:
+    """Write ``payload`` to a temporary sibling of ``path``, then rename it into place.
 
     A failure removes the temporary file and leaves ``path`` as it was.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -269,24 +269,18 @@ def write_volume(v: Volume | LabelVolume, path) -> None:
     header_path, raw_path = _sidecar_paths(path)
     if isinstance(v, LabelVolume):
         layout = (v.dims, 1, v.spacing_mm, "u16")
-        chunks = [np.ascontiguousarray(v.labels.ravel(order="F"), dtype="<u2")]
+        payload = np.ascontiguousarray(v.labels.T, dtype="<u2")
     elif isinstance(v, Volume):
         if not np.all(np.isfinite(v.data)):
             raise ValueError("refusing to write non-finite volume data")
         layout = (v.dims, v.channels, v.spacing_mm, v.dtype)
-        out_dtype = PAYLOAD_DTYPES[v.dtype]
-        chunks = [
-            np.ascontiguousarray(v.data[k].ravel(order="F"), dtype=out_dtype)
-            for k in range(v.channels)
-        ]
+        payload = np.ascontiguousarray(v.data.transpose(0, 3, 2, 1),
+                                       dtype=PAYLOAD_DTYPES[v.dtype])
     else:
         raise TypeError(f"cannot write object of type {type(v).__name__}")
-    crc = 0
-    for chunk in chunks:
-        crc = zlib.crc32(chunk, crc)
-    header = VolumeHeader(*layout, payload_crc32=crc)
-    _replace_file(raw_path, chunks)
-    _replace_file(header_path, [header.to_json().encode()])
+    header = VolumeHeader(*layout, payload_crc32=zlib.crc32(payload))
+    _replace_file(raw_path, payload)
+    _replace_file(header_path, header.to_json().encode())
 
 
 def hu_window(v: Volume, level: float, width: float) -> Volume:

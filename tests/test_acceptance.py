@@ -120,17 +120,17 @@ def test_criterion_2_identity_axioms():
     labels = LabelVolume(rng.integers(0, 3, dims))
     seg = one_hot(labels, [1, 2])
 
-    step = multistep_forward(a, a, [PreActivationField(np.zeros((3,) + dims))],
-                             REFERENCE_WEIGHTS, segs=(seg, seg))
+    run = multistep_forward(a, a, [PreActivationField(np.zeros((3,) + dims))],
+                            REFERENCE_WEIGHTS, segs=(seg, seg))
     ident = identity_field(dims)
-    assert np.array_equal(step.phi_ab.values, ident.values)
-    assert np.array_equal(step.phi_ba.values, ident.values)
+    assert np.array_equal(run.steps[0].phi_ab.values, ident.values)
+    assert np.array_equal(run.steps[0].phi_ba.values, ident.values)
 
     assert np.array_equal(warp(a, ident).data, a.data)
     assert np.all(jacobian_det(ident).data == 1.0)
     assert sdlogj(ident) == 0.0
 
-    bd = step.breakdown
+    bd = run.breakdown
     assert (bd.sim, bd.seg, bd.reg, bd.jac, bd.inv, bd.total) == (0, 0, 0, 0, 0, 0)
     report(2, "identity fields, bit-exact warp, unit determinant, all losses zero")
 
@@ -155,12 +155,13 @@ def test_criterion_3_symmetry_axiom():
         fwd = multistep_forward(a, b, [delta], REFERENCE_WEIGHTS, segs=segs)
         rev = multistep_forward(b, a, [PreActivationField(-delta.values)],
                                 REFERENCE_WEIGHTS, segs=swapped)
+        (fwd_step,), (rev_step,) = fwd.steps, rev.steps
         for term in ("sim", "seg", "reg", "jac", "inv", "total"):
             assert getattr(fwd.breakdown, term) == getattr(rev.breakdown, term)
-        assert np.array_equal(fwd.phi_ab.values, rev.phi_ba.values)
-        assert np.array_equal(fwd.phi_ba.values, rev.phi_ab.values)
-        assert np.array_equal(fwd.a_warp.data, rev.b_warp.data)
-        assert np.array_equal(fwd.b_warp.data, rev.a_warp.data)
+        assert np.array_equal(fwd_step.phi_ab.values, rev_step.phi_ba.values)
+        assert np.array_equal(fwd_step.phi_ba.values, rev_step.phi_ab.values)
+        assert np.array_equal(fwd_step.a_warp.data, rev_step.b_warp.data)
+        assert np.array_equal(fwd_step.b_warp.data, rev_step.a_warp.data)
     report(3, "100 random instances: bit-identical breakdowns, exchanged fields")
 
 

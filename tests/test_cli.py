@@ -398,7 +398,8 @@ def bad_moving_volume(workdir, kind) -> tuple[Path, str]:
     header = json.loads((workdir / "img.json").read_text())
     (workdir / "bad.json").write_text(json.dumps(dict(header, dims=5)))
     (workdir / "bad.raw").write_bytes((workdir / "img.raw").read_bytes())
-    return workdir / "bad", "volume header key 'dims' must be a list of 3 integers, got 5"
+    return workdir / "bad", ("volume header key 'dims' must be a list of 3 integers, "
+                             f"got 5 (in {workdir / 'bad.json'})")
 
 
 @pytest.mark.parametrize("jobs, kind", [
@@ -418,6 +419,29 @@ def test_register_batch_failed_pair_keeps_the_others(workdir, capsys, jobs, kind
     for name in ("phi_moving_to_fixed.raw", "warped_moving.raw", "loss_trace.csv",
                  "metrics.csv"):
         assert (workdir / "kept" / name).exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("register", "--config"), ("gradcheck", "--config"), ("register", "--pairs"),
+    ("phantom", "--spec"), ("phantom", "--warp"),
+])
+def test_input_that_is_not_json_names_its_file(workdir, capsys, command, flag):
+    inputs = {"--config": TINY_CONFIG, "--pairs": [batch_entry(workdir, "never")],
+              "--spec": PHANTOM_SPEC, "--warp": WARP_SPEC}
+    flags, rest = {"register": (["--config", "--pairs"], []),
+                   "gradcheck": (["--config"], ["--dims", "4,4,4"]),
+                   "phantom": (["--spec", "--warp"], ["--out-dir", workdir / "never"])}[command]
+    argv = [command, *rest]
+    for key in flags:
+        path = workdir / f"input_{key[2:]}.json"
+        path.write_text('{"steps": 2,}' if key == flag else json.dumps(inputs[key]))
+        argv += [key, path]
+    bad = workdir / f"input_{flag[2:]}.json"
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Expecting property name enclosed in double quotes")
+    assert err.rstrip().endswith(f"(in {bad})")
+    assert not (workdir / "never").exists()
 
 
 # ---------------------------------------------------------------------------

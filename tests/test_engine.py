@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gradreg import deform
+from gradreg import deform, engine
 from gradreg.deform import PreActivationField, identity_field
 from gradreg.engine import (
     ADAM_BETAS,
@@ -52,11 +52,11 @@ def zero_delta(dims=DIMS, stride=1):
 def test_forward_zero_delta_identical_volumes():
     rng = np.random.default_rng(0)
     a, _ = random_pair(rng)
-    step = multistep_forward(a, a, [zero_delta()], WEIGHTS)
+    run = multistep_forward(a, a, [zero_delta()], WEIGHTS)
     ident = identity_field(DIMS).values
-    assert np.array_equal(step.phi_ab.values, ident)
-    assert np.array_equal(step.phi_ba.values, ident)
-    bd = step.breakdown
+    assert np.array_equal(run.steps[0].phi_ab.values, ident)
+    assert np.array_equal(run.steps[0].phi_ba.values, ident)
+    bd = run.breakdown
     assert bd.sim == 0.0 and bd.reg == 0.0 and bd.jac == 0.0 and bd.inv == 0.0
     assert bd.total == 0.0
 
@@ -64,11 +64,11 @@ def test_forward_zero_delta_identical_volumes():
 def test_forward_zero_delta_different_volumes():
     rng = np.random.default_rng(1)
     a, b = random_pair(rng)
-    step = multistep_forward(a, b, [zero_delta()], WEIGHTS)
+    run = multistep_forward(a, b, [zero_delta()], WEIGHTS)
     expect = 2.0 * float(np.mean((a.data - b.data) ** 2))
-    assert step.breakdown.sim == pytest.approx(expect, rel=1e-12)
-    assert np.array_equal(step.a_warp.data, a.data)
-    assert np.array_equal(step.b_warp.data, b.data)
+    assert run.breakdown.sim == pytest.approx(expect, rel=1e-12)
+    assert np.array_equal(run.steps[0].a_warp.data, a.data)
+    assert np.array_equal(run.steps[0].b_warp.data, b.data)
 
 
 # a random instance: dims 3-9 per axis, control stride 1-4, 1-3 steps, labels or not
@@ -97,10 +97,15 @@ def test_forward_direction_antisymmetry_bit_exact(instance):
     rev = multistep_forward(b, a, neg, WEIGHTS, segs=rev_segs)
     for term in ("sim", "seg", "reg", "jac", "inv", "total"):
         assert getattr(fwd.breakdown, term) == getattr(rev.breakdown, term)
-    assert np.array_equal(fwd.phi_ab.values, rev.phi_ba.values)
-    assert np.array_equal(fwd.phi_ba.values, rev.phi_ab.values)
-    assert np.array_equal(fwd.a_warp.data, rev.b_warp.data)
-    assert np.array_equal(fwd.b_warp.data, rev.a_warp.data)
+    assert len(fwd.steps) == len(rev.steps) == len(deltas)
+    for f, r in zip(fwd.steps, rev.steps):
+        assert np.array_equal(f.phi_ab.values, r.phi_ba.values)
+        assert np.array_equal(f.phi_ba.values, r.phi_ab.values)
+        assert np.array_equal(f.a_warp.data, r.b_warp.data)
+        assert np.array_equal(f.b_warp.data, r.a_warp.data)
+        if segs is not None:
+            assert np.array_equal(f.a_seg_warp.data, r.b_seg_warp.data)
+            assert np.array_equal(f.b_seg_warp.data, r.a_seg_warp.data)
 
 
 def test_forward_shape_mismatch():
@@ -118,8 +123,8 @@ def test_forward_shape_mismatch():
 def test_multistep_zero_deltas_warps_equal_inputs():
     rng = np.random.default_rng(5)
     a, b = random_pair(rng)
-    multi = multistep_forward(a, b, [zero_delta(), zero_delta(), zero_delta()],
-                              WEIGHTS)
+    config = RegistrationConfig(steps=3, iterations=0, control_stride=1)
+    multi = register_pair(a, b, config)
     assert np.array_equal(multi.a_warp.data, a.data)
     assert np.array_equal(multi.b_warp.data, b.data)
     assert np.array_equal(multi.phi_ab.values, identity_field(DIMS).values)
@@ -129,12 +134,14 @@ def test_multistep_identity_second_step_keeps_first_warp():
     rng = np.random.default_rng(6)
     a, b = random_pair(rng)
     delta = PreActivationField(rng.normal(0, 0.5, (3,) + DIMS))
-    one_step = multistep_forward(a, b, [delta], WEIGHTS)
-    two_step = multistep_forward(a, b, [delta, zero_delta()], WEIGHTS)
-    assert np.array_equal(two_step.a_warp.data, one_step.a_warp.data)
-    assert np.array_equal(two_step.b_warp.data, one_step.b_warp.data)
+    one_step = multistep_forward(a, b, [delta], WEIGHTS).steps[0]
+    first, second = multistep_forward(a, b, [delta, zero_delta()], WEIGHTS).steps
+    phi_ab = deform.compose(first.phi_ab, second.phi_ab)
+    phi_ba = deform.compose(first.phi_ba, second.phi_ba)
+    assert np.array_equal(deform.warp(a, phi_ab).data, one_step.a_warp.data)
+    assert np.array_equal(deform.warp(b, phi_ba).data, one_step.b_warp.data)
     # composed field samples the first field at identity coordinates: exact
-    assert np.array_equal(two_step.phi_ab.values, one_step.phi_ab.values)
+    assert np.array_equal(phi_ab.values, one_step.phi_ab.values)
 
 
 @pytest.mark.parametrize("n_steps", [2, 3])
@@ -142,12 +149,14 @@ def test_multistep_warps_come_from_the_composed_fields(n_steps):
     rng = np.random.default_rng(16)
     a, b = random_pair(rng)
     segs = random_segs(rng)
-    deltas = [PreActivationField(rng.normal(0, 1.0, (3,) + DIMS)) for _ in range(n_steps)]
-    multi = multistep_forward(a, b, deltas, WEIGHTS, segs=segs)
+    config = RegistrationConfig(steps=n_steps, iterations=3, learning_rate=0.5,
+                                control_stride=1)
+    multi = register_pair(a, b, config, segs=segs)
     assert np.array_equal(multi.a_warp.data, deform.warp(a, multi.phi_ab).data)
     assert np.array_equal(multi.b_warp.data, deform.warp(b, multi.phi_ba).data)
     # the losses saw the sequential warps, which the composed field only approximates
-    assert not np.array_equal(multi.a_warp.data, multi.steps[-1].a_warp.data)
+    steps = multistep_forward(a, b, multi.deltas, WEIGHTS, segs=segs).steps
+    assert not np.array_equal(multi.a_warp.data, steps[-1].a_warp.data)
 
 
 def test_multistep_total_is_sum_of_step_totals():
@@ -438,6 +447,23 @@ def test_register_pair_inference_steps():
     assert trimmed.iterations_run == full.iterations_run
     with pytest.raises(ValueError, match="inference steps"):
         register_pair(pair.moving, pair.fixed, config, inference_steps=3)
+
+
+def test_register_pair_inference_steps_runs_one_final_pass(monkeypatch):
+    """Trimmed steps get one forward pass after the loop, not a full one first."""
+    rng = np.random.default_rng(23)
+    a, b = random_pair(rng)
+    config = RegistrationConfig(steps=2, iterations=3, control_stride=2)
+    passes = []
+
+    def counted(a, b, deltas, weights, segs=None):
+        passes.append(len(deltas))
+        return multistep_forward(a, b, deltas, weights, segs=segs)
+
+    monkeypatch.setattr(engine, "multistep_forward", counted)
+    result = register_pair(a, b, config, segs=random_segs(rng), inference_steps=1)
+    assert passes == [2] * config.iterations + [1]
+    assert result.iterations_run == config.iterations and len(result.deltas) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,22 @@ def test_round_trip_labels_bit_exact(tmp_path):
     assert back.spacing_mm == lv.spacing_mm
 
 
+def test_read_volume_returns_c_contiguous_arrays(tmp_path):
+    """Arrays read back C-contiguous; the payload stays x-fastest per channel."""
+    rng = np.random.default_rng(15)
+    v = random_volume(rng, dims=(5, 4, 6), channels=3)
+    lv = LabelVolume(rng.integers(0, 5, (5, 4, 6)))
+    write_volume(v, tmp_path / "img")
+    write_volume(lv, tmp_path / "lab")
+    img, lab = read_volume(tmp_path / "img"), read_volume(tmp_path / "lab")
+    assert img.data.flags.c_contiguous and img.data.strides == (960, 192, 48, 8)
+    assert lab.labels.flags.c_contiguous
+    assert np.array_equal(img.data, v.data) and np.array_equal(lab.labels, lv.labels)
+    x_fastest = np.concatenate([c.ravel(order="F") for c in v.data]).astype("<f4")
+    assert (tmp_path / "img.raw").read_bytes() == x_fastest.tobytes()
+    assert (tmp_path / "lab.raw").read_bytes() == lv.labels.ravel(order="F").tobytes()
+
+
 def test_round_trip_payload_is_raw_bytes(tmp_path):
     # the payload of a 4^3 single-channel f32 volume is 64 values = 256 bytes
     v = Volume(np.arange(64, dtype=np.float64).reshape(1, 4, 4, 4))
@@ -120,17 +136,15 @@ def test_non_finite_rejected_before_write(tmp_path):
 
 
 class _FailingWriter:
-    """A file that accepts its first write and raises on the next one."""
+    """A file that writes the first half of what it is given, then raises."""
 
     def __init__(self, path, mode):
         self.fh = builtins.open(path, mode)
-        self.writes = 0
 
     def write(self, data):
-        self.writes += 1
-        if self.writes > 1:
-            raise OSError("no space left on device")
-        return self.fh.write(data)
+        data = memoryview(data).cast("B")
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("no space left on device")
 
     def __enter__(self):
         return self
