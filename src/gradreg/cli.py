@@ -4,8 +4,8 @@ Subcommands: register, warp, jacobian, metrics, phantom, gradcheck.
 Exit codes: 0 success, 1 user error (bad paths, malformed inputs, shape
 mismatches), 2 numerical failure (divergence, failed gradient check).  A
 malformed JSON input exits 1 naming its file and key; in a batch, a bad
-manifest stops before any pair runs and a bad volume header fails its pair
-alone.
+manifest, ``--jobs`` or ``--inference-steps`` stops before any pair runs and a
+bad volume header fails its pair alone.
 Scalars print with 6 significant digits; CSV files keep full precision.
 """
 
@@ -210,6 +210,9 @@ def _read_manifest(path) -> list[dict]:
 
 def _cmd_register(args) -> int:
     config = _load_config(args.config)  # validate before spawning work
+    if args.inference_steps is not None and not 1 <= args.inference_steps <= config.steps:
+        raise _CliError(f"--inference-steps must be in [1, {config.steps}] (the config's "
+                        f"steps), got {args.inference_steps}")
     if args.pairs:
         pairs = _read_manifest(args.pairs)
     elif args.fixed and args.moving and args.out_dir:
@@ -395,6 +398,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:
+            parser.error(f"argument --jobs: must be >= 1, got {args.jobs}")
         return args.func(args)
     except _REPORTED as e:
         code, message = _failure(e)

@@ -91,20 +91,19 @@ class RegistrationConfig:
 
 @dataclass
 class StepForward:
-    """One refinement step's fields, sequential warps and loss, both directions.
+    """One refinement step's fields, sequential warps and loss.
 
-    ``x`` (the upsampled parameter field) and ``pullbacks`` serve the backward pass.
+    ``phis``, ``warps`` and ``seg_warps`` (None without labels) are pairs in
+    direction order (A-to-B, B-to-A).  ``x`` (the upsampled parameter field)
+    and ``pullbacks``, as ``loss_total`` returns them, serve the backward pass.
     """
 
     x: PreActivationField
-    phi_ab: DeformationField
-    phi_ba: DeformationField
-    a_warp: Volume
-    b_warp: Volume
-    a_seg_warp: Volume | None
-    b_seg_warp: Volume | None
+    phis: tuple[DeformationField, DeformationField]
+    warps: tuple[Volume, Volume]
+    seg_warps: tuple[Volume, Volume] | None
     breakdown: LossBreakdown
-    pullbacks: list[tuple[float, Callable]]
+    pullbacks: list[tuple[float, int, str, Callable]]
 
 
 def _check_pair(a: Volume, b: Volume, segs) -> None:
@@ -166,93 +165,80 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
     if not deltas:
         raise ValueError("at least one parameter field is required")
     _check_pair(a, b, segs)
-    a_seg, b_seg = segs if segs is not None else (None, None)
+    seg_targets = None if segs is None else segs[::-1]
     steps: list[StepForward] = []
-    a_cur, b_cur, a_seg_cur, b_seg_cur = a, b, a_seg, b_seg
+    warps, seg_warps = (a, b), segs
     for delta in deltas:
         x = deform.upsample(delta, a.dims)
-        g_ab = deform.activate(x)
-        g_ba = deform.activate(PreActivationField(-x.values, stride=1))
-        phi_ab = deform.integrate(g_ab)
-        phi_ba = deform.integrate(g_ba)
-        a_cur = deform.warp(a_cur, phi_ab)
-        b_cur = deform.warp(b_cur, phi_ba)
+        gs = tuple(map(deform.activate, (x, PreActivationField(-x.values, stride=1))))
+        phis = tuple(map(deform.integrate, gs))
+        warps = tuple(map(deform.warp, warps, phis))
         if segs is not None:
-            a_seg_cur = deform.warp(a_seg_cur, phi_ab)
-            b_seg_cur = deform.warp(b_seg_cur, phi_ba)
-        breakdown, pullbacks = loss_total(
-            a_cur, b, b_cur, a, g_ab, g_ba, phi_ab, phi_ba, weights,
-            a_seg_warp=a_seg_cur, b_seg=b_seg, b_seg_warp=b_seg_cur, a_seg=a_seg,
-        )
-        steps.append(StepForward(x, phi_ab, phi_ba, a_cur, b_cur,
-                                 a_seg_cur, b_seg_cur, breakdown, pullbacks))
+            seg_warps = tuple(map(deform.warp, seg_warps, phis))
+        breakdown, pullbacks = loss_total(warps, (b, a), gs, phis, weights,
+                                          seg_warps, seg_targets)
+        steps.append(StepForward(x, phis, warps, seg_warps, breakdown, pullbacks))
     breakdown = LossBreakdown(*(sum(getattr(s.breakdown, f.name) for s in steps)
                                 for f in fields(LossBreakdown)))
     return MultistepForward(steps, breakdown)
 
 
-# What each step field samples, by the cotangent key of the result, in the
-# same order for both directions: the warped image, the warped one-hot labels
-# and the other field, as the outer map of a loss_inv composition.
-_SAMPLED = {"phi_ab": ("a_warp", "a_seg_warp", "compose_ba_ab"),
-            "phi_ba": ("b_warp", "b_seg_warp", "compose_ab_ba")}
-# the outer field of each composition, which gets its value gradient
-_OUTER = {"compose_ab_ba": "phi_ab", "compose_ba_ab": "phi_ba"}
-
-
-def _cotangents(pullbacks: list[tuple[float, Callable]]) -> dict[str, np.ndarray]:
-    """Run each pullback once, releasing it and what it kept as it goes; the
-    weighted cotangents, merged per input key."""
-    grads: dict[str, np.ndarray] = {}
+def _cotangents(pullbacks: list[tuple[float, int, str, Callable]]):
+    """Run each pullback once, releasing it and what it kept as it goes; per
+    direction, the weighted cotangent of each input a weighted term reaches.
+    Only one term differentiates each input, so nothing is merged."""
+    cot: tuple[dict[str, np.ndarray], dict[str, np.ndarray]] = ({}, {})
     while pullbacks:
-        w, pullback = pullbacks.pop(0)
-        for key, g in pullback().items():
-            grads[key] = grads[key] + w * g if key in grads else w * g
-    return grads
+        w, d, key, pullback = pullbacks.pop(0)
+        cot[d][key] = w * pullback()
+    return cot
 
 
 def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
               deltas: list[PreActivationField]) -> list[np.ndarray]:
-    """Reverse-mode chain through every step, back to each parameter field."""
-    a_seg, b_seg = segs if segs is not None else (None, None)
-    inputs = {"a_warp": a, "a_seg_warp": a_seg, "b_warp": b, "b_seg_warp": b_seg}
-    carry: dict[str, np.ndarray] = {}
+    """Reverse-mode chain through every step, back to each parameter field.
+
+    Direction d's field samples, in this order, the warped image, the warped
+    one-hot labels and the other field, as the outer map of its loss_inv
+    composition; one sweep at the field carries all of their cotangents.
+    """
+    carry: list[dict[str, np.ndarray]] = [{}, {}]
     grads: list[np.ndarray | None] = [None] * len(steps)
     for k in range(len(steps) - 1, -1, -1):
         step = steps[k]
         cot = _cotangents(step.pullbacks)
-        for key, g in carry.items():
-            cot[key] = cot[key] + g if key in cot else g
         # what this step warped; its value gradients only matter if an earlier step made it
-        warped = inputs if k == 0 else {key: getattr(steps[k - 1], key) for key in inputs}
-        gphi, values = {}, {}
-        for phi_key, keys in _SAMPLED.items():
-            used = [key for key in keys if key in cot]
-            sources = [getattr(step, _OUTER[key]).values if key in _OUTER
-                       else warped[key].data for key in used]
-            gphi[phi_key], grads_k = deform.vjp_sample(
-                getattr(step, phi_key), sources, [cot.pop(key) for key in used],
-                [k > 0 or key in _OUTER for key in used])
-            values.update(zip(used, grads_k))
-        carry = {key: values[key] for key in inputs if values.get(key) is not None}
-        # each field's value gradient as an outer map, then its Jacobian-hinge cotangent
-        for key, phi_key in _OUTER.items():
-            if key in values:
-                gphi[phi_key] += values[key]
-            if phi_key in cot:
-                gphi[phi_key] += cot[phi_key]
+        images, labels = ((a, b), segs) if k == 0 else (steps[k - 1].warps,
+                                                        steps[k - 1].seg_warps)
+        gphi, outer = [], []
+        for d in (0, 1):
+            for key, g in carry[d].items():
+                cot[d][key] += g
+            sources = {"warp": images[d].data, "compose": step.phis[1 - d].values}
+            if labels is not None:
+                sources["seg_warp"] = labels[d].data
+            used = [key for key in ("warp", "seg_warp", "compose") if key in cot[d]]
+            g, values = deform.vjp_sample(step.phis[d], [sources[key] for key in used],
+                                          [cot[d].pop(key) for key in used],
+                                          [k > 0 or key == "compose" for key in used])
+            values = dict(zip(used, values))
+            outer.append(values.pop("compose", None))
+            carry[d] = {key: v for key, v in values.items() if v is not None}
+            gphi.append(g)
 
-        step.phi_ab.drop_plan()  # nothing samples at this step's fields again
-        step.phi_ba.drop_plan()
-        gg_ab = deform.vjp_integrate(gphi["phi_ab"])
-        if "g_ab" in cot:
-            gg_ab += cot["g_ab"]
-        gg_ba = deform.vjp_integrate(gphi["phi_ba"])
-        if "g_ba" in cot:
-            gg_ba += cot["g_ba"]
+        gg = []
+        for d, phi in enumerate(step.phis):
+            phi.drop_plan()  # nothing samples at this step's fields again
+            # the other composition's value gradient, then the Jacobian-hinge cotangent
+            for extra in (outer[1 - d], cot[d].get("phi")):
+                if extra is not None:
+                    gphi[d] += extra
+            gg.append(deform.vjp_integrate(gphi[d]))
+            if "g" in cot[d]:
+                gg[d] += cot[d]["g"]
 
         x_full = step.x.values
-        gx = deform.vjp_activate(x_full, gg_ab) - deform.vjp_activate(-x_full, gg_ba)
+        gx = deform.vjp_activate(x_full, gg[0]) - deform.vjp_activate(-x_full, gg[1])
         grads[k] = deform.vjp_upsample(gx, deltas[k].stride, deltas[k].control_dims)
     return grads
 
@@ -312,16 +298,13 @@ def _final_pass(a: Volume, b: Volume, deltas: list[PreActivationField],
         raise DivergenceError("objective became non-finite after the last update", trace)
     for step in run.steps:
         step.pullbacks.clear()
-    phi_ab = _compose_steps([s.phi_ab for s in run.steps])
-    phi_ba = _compose_steps([s.phi_ba for s in run.steps])
-    if len(run.steps) == 1:
-        a_warp, b_warp = run.steps[0].a_warp, run.steps[0].b_warp
-    else:
-        a_warp, b_warp = deform.warp(a, phi_ab), deform.warp(b, phi_ba)
-    phi_ab.drop_plan()
-    phi_ba.drop_plan()
-    return RegistrationResult(phi_ab, phi_ba, a_warp, b_warp, run.breakdown, deltas,
-                              trace, len(trace), converged)
+    phis = [_compose_steps([s.phis[d] for s in run.steps]) for d in (0, 1)]
+    warps = (run.steps[0].warps if len(run.steps) == 1
+             else tuple(map(deform.warp, (a, b), phis)))
+    for phi in phis:
+        phi.drop_plan()
+    return RegistrationResult(*phis, *warps, run.breakdown, deltas, trace, len(trace),
+                              converged)
 
 
 def optimize(a: Volume, b: Volume, config: RegistrationConfig,

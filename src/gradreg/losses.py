@@ -1,12 +1,12 @@
 """The five registration loss terms and their weighted combination.
 
-Each term is a symmetric sum over both warp directions, normalized to a
-per-element mean so the weights are resolution independent.  A term computes
-its value and returns it with a pullback, a function of no arguments giving
-the term's exact cotangents w.r.t. its direct inputs (keyed by name); only the
-backward pass runs it, and ``loss_total`` returns the weighted ones beside a
-plain ``LossBreakdown``.  All terms are nonnegative and exactly zero on the
-all-identity configuration.
+Each term scores one warp direction, normalized to a per-element mean so the
+weights are resolution independent; ``loss_total`` sums it over both
+directions.  A term computes its value and returns it with a pullback, a
+function of no arguments giving the exact cotangent w.r.t. the term's one
+differentiated input; only the backward pass runs it, and ``loss_total``
+returns the weighted ones beside a plain ``LossBreakdown``.  All terms are
+nonnegative and exactly zero on the all-identity configuration.
 """
 
 from __future__ import annotations
@@ -61,19 +61,21 @@ def _check_same_shape(kind: str, *arrays: np.ndarray) -> None:
         raise ValueError(f"{kind} inputs must share one shape, got {sorted(shapes)}")
 
 
-def loss_sim(a_warp: Volume, b: Volume, b_warp: Volume, a: Volume):
-    """Mean squared intensity error, both directions."""
-    _check_same_shape("similarity", a_warp.data, b.data, b_warp.data, a.data)
-    d_ab = a_warp.data - b.data
-    d_ba = b_warp.data - a.data
-    n = d_ab.size
-    value = float(np.mean(d_ab * d_ab)) + float(np.mean(d_ba * d_ba))
-    return value, lambda: {"a_warp": (2.0 / n) * d_ab, "b_warp": (2.0 / n) * d_ba}
+def loss_sim(warped: Volume, target: Volume):
+    """Mean squared intensity error of a warped volume against its target."""
+    _check_same_shape("similarity", warped.data, target.data)
+    d = warped.data - target.data
+    return float(np.mean(d * d)), lambda: (2.0 / d.size) * d
 
 
-def _soft_dice_direction(p: np.ndarray, q: np.ndarray):
-    """Channel-mean soft Dice loss of warped one-hot p against target q, and
-    its gradient w.r.t. p as a function."""
+def loss_seg(seg_warped: Volume, seg_target: Volume):
+    """Channel-mean soft Dice loss of warped one-hot labels against the target's."""
+    if seg_warped.channels != seg_target.channels or seg_warped.dims != seg_target.dims:
+        raise ValueError(
+            f"segmentation channel/shape mismatch: "
+            f"{seg_warped.data.shape} vs {seg_target.data.shape}"
+        )
+    p, q = seg_warped.data, seg_target.data
     fractions = [(2.0 * float(np.sum(pc * qc)) + DICE_SMOOTH,
                   float(np.sum(pc)) + float(np.sum(qc)) + DICE_SMOOTH) for pc, qc in zip(p, q)]
     value = sum(1.0 - num / den for num, den in fractions) / len(p)
@@ -81,119 +83,76 @@ def _soft_dice_direction(p: np.ndarray, q: np.ndarray):
                                     for qc, (num, den) in zip(q, fractions)]) / len(p)
 
 
-def loss_seg(a_seg_warp: Volume, b_seg: Volume, b_seg_warp: Volume, a_seg: Volume):
-    """Soft Dice loss between warped and target one-hot volumes, both directions."""
-    for v, w in ((a_seg_warp, b_seg), (b_seg_warp, a_seg)):
-        if v.channels != w.channels or v.dims != w.dims:
-            raise ValueError(
-                f"segmentation channel/shape mismatch: "
-                f"{v.data.shape} vs {w.data.shape}"
-            )
-    v_ab, g_ab = _soft_dice_direction(a_seg_warp.data, b_seg.data)
-    v_ba, g_ba = _soft_dice_direction(b_seg_warp.data, a_seg.data)
-    return v_ab + v_ba, lambda: {"a_seg_warp": g_ab(), "b_seg_warp": g_ba()}
-
-
-def loss_reg(g_ab: GradientField, g_ba: GradientField):
+def loss_reg(g: GradientField):
     """Mean squared deviation of the predicted gradients from identity spacing."""
-    _check_same_shape("smoothness", g_ab.values, g_ba.values)
-    d_ab = g_ab.values - 1.0
-    d_ba = g_ba.values - 1.0
-    n = d_ab.size
-    value = float(np.mean(d_ab * d_ab)) + float(np.mean(d_ba * d_ba))
-    return value, lambda: {"g_ab": (2.0 / n) * d_ab, "g_ba": (2.0 / n) * d_ba}
+    d = g.values - 1.0
+    return float(np.mean(d * d)), lambda: (2.0 / d.size) * d
 
 
-def loss_jac(phi_ab: DeformationField, phi_ba: DeformationField):
-    """Mean hinge on negative Jacobian determinants, both directions.
+def loss_jac(phi: DeformationField):
+    """Mean hinge on negative Jacobian determinants.
 
     Subgradient at a zero determinant is zero; gradients propagate through the
-    finite-difference determinant stencil.  The pullback keeps only each
-    field's folded-voxel mask and gives a cotangent only for a field that
-    folds (it is zero elsewhere), rebuilding that field's Jacobian matrix.
+    finite-difference determinant stencil.  The pullback keeps only the
+    folded-voxel mask and rebuilds the Jacobian matrix; it is None when the
+    field does not fold, as its cotangent is then zero.
     """
-    _check_same_shape("jacobian", phi_ab.values, phi_ba.values)
-    n = float(np.prod(phi_ab.dims))
-    value = 0.0
-    folded = {}
-    for key, phi in (("phi_ab", phi_ab), ("phi_ba", phi_ba)):
-        det = deform.det3x3(deform.jacobian_matrix(phi))
-        value += float(np.sum(np.maximum(0.0, -det))) / n
-        mask = det < 0.0
-        if mask.any():
-            folded[key] = (phi, mask)
-    return value, lambda: {
-        key: deform.det_vjp(deform.jacobian_matrix(phi), np.where(mask, -1.0 / n, 0.0))
-        for key, (phi, mask) in folded.items()}
+    n = float(np.prod(phi.dims))
+    det = deform.det3x3(deform.jacobian_matrix(phi))
+    value = float(np.sum(np.maximum(0.0, -det))) / n
+    mask = det < 0.0
+    if not mask.any():
+        return value, None
+    return value, lambda: deform.det_vjp(deform.jacobian_matrix(phi),
+                                         np.where(mask, -1.0 / n, 0.0))
 
 
-def loss_inv(phi_ab: DeformationField, phi_ba: DeformationField,
-             interior_margin: int = 0):
-    """Mean squared residual of both compositions against the identity map.
+def loss_inv(outer: DeformationField, inner: DeformationField, interior_margin: int = 0):
+    """Mean squared residual of ``compose(outer, inner)`` against the identity map.
 
     ``interior_margin`` excludes a border shell of that many voxels from the
     mean (and its gradients); the default 0 evaluates everywhere.  The
-    pullback gives the cotangents of the two compositions, ``compose_ab_ba``
-    of ``compose(phi_ab, phi_ba)`` and ``compose_ba_ab`` of
-    ``compose(phi_ba, phi_ab)``; the backward pass carries them to the fields.
+    pullback gives the cotangent of the composition; the backward pass carries
+    it to both fields.
     """
-    _check_same_shape("inverse-consistency", phi_ab.values, phi_ba.values)
-    dims = phi_ab.dims
-    ident = deform.identity_field(dims).values
-    if interior_margin > 0:
-        m = interior_margin
-        if any(n <= 2 * m for n in dims):
-            raise ValueError(f"interior margin {m} leaves no voxels of dims {dims}")
+    _check_same_shape("inverse-consistency", outer.values, inner.values)
+    dims, m = outer.dims, interior_margin
+    if m > 0 and any(n <= 2 * m for n in dims):
+        raise ValueError(f"interior margin {m} leaves no voxels of dims {dims}")
+    resid = deform.compose(outer, inner).values - deform.identity_field(dims).values
+    if m > 0:
         mask = np.zeros(dims)
         mask[m:dims[0] - m, m:dims[1] - m, m:dims[2] - m] = 1.0
+        resid *= mask
         count = 3.0 * float(mask.sum())
     else:
-        mask = None
-        count = float(ident.size)
-
-    def residual(outer: DeformationField, inner: DeformationField):
-        resid = deform.compose(outer, inner).values - ident
-        return resid if mask is None else resid * mask
-
-    r_ab, r_ba = residual(phi_ab, phi_ba), residual(phi_ba, phi_ab)
-    value = float(np.sum(r_ab * r_ab)) / count + float(np.sum(r_ba * r_ba)) / count
-    r_ab *= 2.0 / count  # from here on the residuals are the cotangents
-    r_ba *= 2.0 / count
-    return value, lambda: {"compose_ab_ba": r_ab, "compose_ba_ab": r_ba}
+        count = float(resid.size)
+    value = float(np.sum(resid * resid)) / count
+    resid *= 2.0 / count  # from here on the residual is the cotangent
+    return value, lambda: resid
 
 
-def loss_total(
-    a_warp: Volume,
-    b: Volume,
-    b_warp: Volume,
-    a: Volume,
-    g_ab: GradientField,
-    g_ba: GradientField,
-    phi_ab: DeformationField,
-    phi_ba: DeformationField,
-    weights: LossWeights,
-    a_seg_warp: Volume | None = None,
-    b_seg: Volume | None = None,
-    b_seg_warp: Volume | None = None,
-    a_seg: Volume | None = None,
-) -> tuple[LossBreakdown, list[tuple[float, Callable]]]:
-    """Weighted five-term loss, and the (weight, pullback) pair of every term
-    with a nonzero weight.
+def loss_total(warps, targets, gs, phis, weights: LossWeights, seg_warps=None,
+               seg_targets=None) -> tuple[LossBreakdown, list[tuple[float, int, str, Callable]]]:
+    """Weighted five-term loss of a pair of directions, and the pullback of
+    every direction of every term with a nonzero weight.
 
-    Omitting the segmentation inputs forces the beta term to zero
-    (unsupervised mode).
+    Every argument but the weights is a pair in direction order (A-to-B,
+    B-to-A); direction d's inverse-consistency residual composes the other
+    field with its own.  Each term's value is the sum of its two directions.
+    A pullback comes as ``(weight, direction, input, pullback)``, its input one
+    of ``warp``, ``seg_warp``, ``g``, ``phi`` and ``compose``.  Omitting the
+    segmentation inputs forces the beta term to zero (unsupervised mode).
     """
-    sim, sim_pb = loss_sim(a_warp, b, b_warp, a)
-    seg_inputs = (a_seg_warp, b_seg, b_seg_warp, a_seg)
-    if any(s is not None for s in seg_inputs):
-        if any(s is None for s in seg_inputs):
-            raise ValueError("segmentation inputs must be given all together or not at all")
-        seg, seg_pb = loss_seg(a_seg_warp, b_seg, b_seg_warp, a_seg)
-    else:
-        seg, seg_pb = 0.0, None
-    reg, reg_pb = loss_reg(g_ab, g_ba)
-    jac, jac_pb = loss_jac(phi_ab, phi_ba)
-    inv, inv_pb = loss_inv(phi_ab, phi_ba)
+    if (seg_warps is None) != (seg_targets is None):
+        raise ValueError("segmentation inputs must be given all together or not at all")
+    terms = [(weights.alpha, "warp", [loss_sim(v, t) for v, t in zip(warps, targets)]),
+             (weights.beta, "seg_warp", [(0.0, None)] * 2 if seg_warps is None
+              else [loss_seg(p, q) for p, q in zip(seg_warps, seg_targets)]),
+             (weights.gamma, "g", [loss_reg(g) for g in gs]),
+             (weights.delta, "phi", [loss_jac(phi) for phi in phis]),
+             (weights.epsilon, "compose", [loss_inv(phis[1 - d], phis[d]) for d in (0, 1)])]
+    sim, seg, reg, jac, inv = (ab + ba for _, _, ((ab, _), (ba, _)) in terms)
     total = (
         weights.alpha * sim
         + weights.beta * seg
@@ -201,8 +160,6 @@ def loss_total(
         + weights.delta * jac
         + weights.epsilon * inv
     )
-    pullbacks = [(w, pb) for w, pb in ((weights.alpha, sim_pb), (weights.beta, seg_pb),
-                                       (weights.gamma, reg_pb), (weights.delta, jac_pb),
-                                       (weights.epsilon, inv_pb))
+    pullbacks = [(w, d, key, pb) for w, key, pair in terms for d, (_, pb) in enumerate(pair)
                  if w != 0.0 and pb is not None]
     return LossBreakdown(sim, seg, reg, jac, inv, total), pullbacks

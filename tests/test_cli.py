@@ -101,6 +101,15 @@ def test_missing_subcommand_exit_1(capsys):
     assert run() == 1
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exit_1(workdir, capsys, jobs):
+    assert run("--jobs", jobs, "register", "--fixed", workdir / "img", "--moving",
+               workdir / "img", "--config", workdir / "config.json",
+               "--out-dir", workdir / "out") == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # warp
 
@@ -363,6 +372,17 @@ def test_register_batch_shared_out_dir_exit_1_before_any_pair(workdir, capsys):
                "--config", workdir / "config.json") == 1
     assert "entries 1 and 2 share out_dir" in capsys.readouterr().err
     assert not (workdir / "first").exists()
+
+
+def test_register_batch_inference_steps_beyond_config_exit_1_before_any_pair(workdir, capsys):
+    (workdir / "config2.json").write_text(json.dumps(dict(TINY_CONFIG, steps=2)))
+    manifest = [batch_entry(workdir, "first"), batch_entry(workdir, "second")]
+    (workdir / "pairs.json").write_text(json.dumps(manifest))
+    assert run("register", "--pairs", workdir / "pairs.json", "--config",
+               workdir / "config2.json", "--inference-steps", "5") == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "--inference-steps" in err[0]
+    assert not (workdir / "first").exists() and not (workdir / "second").exists()
 
 
 def test_register_batch_null_labels_allowed(workdir):

@@ -54,8 +54,8 @@ def test_forward_zero_delta_identical_volumes():
     a, _ = random_pair(rng)
     run = multistep_forward(a, a, [zero_delta()], WEIGHTS)
     ident = identity_field(DIMS).values
-    assert np.array_equal(run.steps[0].phi_ab.values, ident)
-    assert np.array_equal(run.steps[0].phi_ba.values, ident)
+    assert np.array_equal(run.steps[0].phis[0].values, ident)
+    assert np.array_equal(run.steps[0].phis[1].values, ident)
     bd = run.breakdown
     assert bd.sim == 0.0 and bd.reg == 0.0 and bd.jac == 0.0 and bd.inv == 0.0
     assert bd.total == 0.0
@@ -67,8 +67,8 @@ def test_forward_zero_delta_different_volumes():
     run = multistep_forward(a, b, [zero_delta()], WEIGHTS)
     expect = 2.0 * float(np.mean((a.data - b.data) ** 2))
     assert run.breakdown.sim == pytest.approx(expect, rel=1e-12)
-    assert np.array_equal(run.steps[0].a_warp.data, a.data)
-    assert np.array_equal(run.steps[0].b_warp.data, b.data)
+    assert np.array_equal(run.steps[0].warps[0].data, a.data)
+    assert np.array_equal(run.steps[0].warps[1].data, b.data)
 
 
 # a random instance: dims 3-9 per axis, control stride 1-4, 1-3 steps, labels or not
@@ -99,13 +99,13 @@ def test_forward_direction_antisymmetry_bit_exact(instance):
         assert getattr(fwd.breakdown, term) == getattr(rev.breakdown, term)
     assert len(fwd.steps) == len(rev.steps) == len(deltas)
     for f, r in zip(fwd.steps, rev.steps):
-        assert np.array_equal(f.phi_ab.values, r.phi_ba.values)
-        assert np.array_equal(f.phi_ba.values, r.phi_ab.values)
-        assert np.array_equal(f.a_warp.data, r.b_warp.data)
-        assert np.array_equal(f.b_warp.data, r.a_warp.data)
+        assert np.array_equal(f.phis[0].values, r.phis[1].values)
+        assert np.array_equal(f.phis[1].values, r.phis[0].values)
+        assert np.array_equal(f.warps[0].data, r.warps[1].data)
+        assert np.array_equal(f.warps[1].data, r.warps[0].data)
         if segs is not None:
-            assert np.array_equal(f.a_seg_warp.data, r.b_seg_warp.data)
-            assert np.array_equal(f.b_seg_warp.data, r.a_seg_warp.data)
+            assert np.array_equal(f.seg_warps[0].data, r.seg_warps[1].data)
+            assert np.array_equal(f.seg_warps[1].data, r.seg_warps[0].data)
 
 
 def test_forward_shape_mismatch():
@@ -136,12 +136,12 @@ def test_multistep_identity_second_step_keeps_first_warp():
     delta = PreActivationField(rng.normal(0, 0.5, (3,) + DIMS))
     one_step = multistep_forward(a, b, [delta], WEIGHTS).steps[0]
     first, second = multistep_forward(a, b, [delta, zero_delta()], WEIGHTS).steps
-    phi_ab = deform.compose(first.phi_ab, second.phi_ab)
-    phi_ba = deform.compose(first.phi_ba, second.phi_ba)
-    assert np.array_equal(deform.warp(a, phi_ab).data, one_step.a_warp.data)
-    assert np.array_equal(deform.warp(b, phi_ba).data, one_step.b_warp.data)
+    phi_ab = deform.compose(first.phis[0], second.phis[0])
+    phi_ba = deform.compose(first.phis[1], second.phis[1])
+    assert np.array_equal(deform.warp(a, phi_ab).data, one_step.warps[0].data)
+    assert np.array_equal(deform.warp(b, phi_ba).data, one_step.warps[1].data)
     # composed field samples the first field at identity coordinates: exact
-    assert np.array_equal(phi_ab.values, one_step.phi_ab.values)
+    assert np.array_equal(phi_ab.values, one_step.phis[0].values)
 
 
 @pytest.mark.parametrize("n_steps", [2, 3])
@@ -156,7 +156,7 @@ def test_multistep_warps_come_from_the_composed_fields(n_steps):
     assert np.array_equal(multi.b_warp.data, deform.warp(b, multi.phi_ba).data)
     # the losses saw the sequential warps, which the composed field only approximates
     steps = multistep_forward(a, b, multi.deltas, WEIGHTS, segs=segs).steps
-    assert not np.array_equal(multi.a_warp.data, steps[-1].a_warp.data)
+    assert not np.array_equal(multi.a_warp.data, steps[-1].warps[0].data)
 
 
 def test_multistep_total_is_sum_of_step_totals():
@@ -246,7 +246,7 @@ def test_directional_gradient_check_at_benchmark_size():
     # about 3 % of the x coordinates clamp at the border, and a few hundred voxels
     # fold, which is still few enough for the hinge's kinks to stay clear of h
     run = multistep_forward(a, b, deltas, config.weights, segs=segs)
-    x = run.steps[0].phi_ab.values[0]
+    x = run.steps[0].phis[0].values[0]
     assert np.any((x < 0.0) | (x > 47.0))
     assert 0.0 < run.breakdown.jac < 0.01
     _, grads = objective_and_gradient(a, b, deltas, config, segs=segs)
@@ -438,8 +438,8 @@ def test_register_pair_inference_steps():
     trimmed = register_pair(pair.moving, pair.fixed, config, inference_steps=1)
     first = multistep_forward(pair.moving, pair.fixed, full.deltas[:1], config.weights).steps
     assert len(first) == 1
-    assert np.array_equal(trimmed.phi_ab.values, first[0].phi_ab.values)
-    assert np.array_equal(trimmed.a_warp.data, first[0].a_warp.data)
+    assert np.array_equal(trimmed.phi_ab.values, first[0].phis[0].values)
+    assert np.array_equal(trimmed.a_warp.data, first[0].warps[0].data)
     assert np.array_equal(full.a_warp.data,
                           deform.warp(pair.moving, full.phi_ab).data)
     assert len(trimmed.deltas) == 1

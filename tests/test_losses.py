@@ -32,6 +32,11 @@ def random_field(rng, scale=0.4, dims=DIMS):
     )
 
 
+def summed(term, ab, ba, **kwargs):
+    """A one-direction term's value summed over two directions' arguments."""
+    return term(*ab, **kwargs)[0] + term(*ba, **kwargs)[0]
+
+
 def fd_check(f, x, analytic, rng, n_dirs=3, h=1e-6, tol=1e-5):
     """Directional finite differences against an analytic gradient array."""
     for _ in range(n_dirs):
@@ -49,10 +54,10 @@ def test_loss_sim_zero_and_unit():
     rng = np.random.default_rng(0)
     a = vol(rng.uniform(0, 1, (2,) + DIMS))
     b = vol(rng.uniform(0, 1, (2,) + DIMS))
-    value, _ = loss_sim(b, b, a, a)
+    value = summed(loss_sim, (b, b), (a, a))
     assert value == 0.0
 
-    value, _ = loss_sim(const_vol(1.0), const_vol(0.0), const_vol(0.0), const_vol(0.0))
+    value = summed(loss_sim, (const_vol(1.0), const_vol(0.0)), (const_vol(0.0), const_vol(0.0)))
     assert value == pytest.approx(1.0)
 
 
@@ -60,7 +65,8 @@ def test_loss_sim_matches_brute_force():
     rng = np.random.default_rng(1)
     a, b = (vol(rng.uniform(-2, 2, (2,) + DIMS)) for _ in range(2))
     aw, bw = (vol(rng.uniform(-2, 2, (2,) + DIMS)) for _ in range(2))
-    value, pullback = loss_sim(aw, b, bw, a)
+    value = summed(loss_sim, (aw, b), (bw, a))
+    _, pullback = loss_sim(aw, b)
     acc = 0.0
     n = aw.data.size
     for arr, ref in ((aw, b), (bw, a)):
@@ -69,14 +75,14 @@ def test_loss_sim_matches_brute_force():
     assert value == pytest.approx(acc, abs=1e-12)
 
     def f(x):
-        return loss_sim(vol(x), b, bw, a)[0]
+        return summed(loss_sim, (vol(x), b), (bw, a))
 
-    fd_check(f, aw.data, pullback()["a_warp"], rng)
+    fd_check(f, aw.data, pullback(), rng)
 
 
 def test_loss_sim_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        loss_sim(const_vol(0), const_vol(0), const_vol(0), const_vol(0, channels=2))
+        loss_sim(const_vol(0), const_vol(0, channels=2))
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +93,7 @@ def test_loss_seg_perfect_overlap_near_zero():
     rng = np.random.default_rng(2)
     labels = LabelVolume(rng.integers(0, 3, DIMS))
     seg = one_hot(labels, [1, 2])
-    value, _ = loss_seg(seg, seg, seg, seg)
+    value = summed(loss_seg, (seg, seg), (seg, seg))
     assert 0.0 <= value < 1e-5
 
 
@@ -96,7 +102,7 @@ def test_loss_seg_disjoint_near_two():
     q = np.zeros((1,) + DIMS)
     p[0, :2] = 1.0
     q[0, 3:] = 1.0
-    value, _ = loss_seg(vol(p), vol(q), vol(p), vol(q))
+    value = summed(loss_seg, (vol(p), vol(q)), (vol(p), vol(q)))
     assert value == pytest.approx(2.0, abs=1e-4)  # two directions, each ~1
 
 
@@ -106,7 +112,7 @@ def test_loss_seg_half_overlap():
     q = np.zeros((1, 8, 1, 1))
     p[0, 0:4] = 1.0
     q[0, 2:6] = 1.0
-    value, _ = loss_seg(vol(p), vol(q), vol(p), vol(q))
+    value = summed(loss_seg, (vol(p), vol(q)), (vol(p), vol(q)))
     assert value == pytest.approx(1.0, abs=1e-4)
 
 
@@ -116,12 +122,12 @@ def test_loss_seg_gradients_match_fd():
     q = (rng.uniform(size=(2,) + DIMS) < 0.3).astype(np.float64)
     p2 = rng.uniform(0, 1, (2,) + DIMS)
     q2 = (rng.uniform(size=(2,) + DIMS) < 0.3).astype(np.float64)
-    value, pullback = loss_seg(vol(p), vol(q), vol(p2), vol(q2))
+    _, pullback = loss_seg(vol(p), vol(q))
 
     def f(x):
-        return loss_seg(vol(x), vol(q), vol(p2), vol(q2))[0]
+        return summed(loss_seg, (vol(x), vol(q)), (vol(p2), vol(q2)))
 
-    fd_check(f, p, pullback()["a_seg_warp"], rng)
+    fd_check(f, p, pullback(), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +136,9 @@ def test_loss_seg_gradients_match_fd():
 
 def test_loss_reg_identity_zero_and_doubling():
     ones = GradientField(np.ones((3,) + DIMS))
-    assert loss_reg(ones, ones)[0] == 0.0
+    assert summed(loss_reg, (ones,), (ones,)) == 0.0
     near_two = GradientField(np.full((3,) + DIMS, 2.0 - 1e-9))
-    value, _ = loss_reg(near_two, ones)
+    value = summed(loss_reg, (near_two,), (ones,))
     assert value == pytest.approx(1.0, abs=1e-6)
 
 
@@ -140,7 +146,8 @@ def test_loss_reg_matches_brute_force_and_fd():
     rng = np.random.default_rng(4)
     g_ab = GradientField(rng.uniform(0.1, 1.9, (3,) + DIMS))
     g_ba = GradientField(rng.uniform(0.1, 1.9, (3,) + DIMS))
-    value, pullback = loss_reg(g_ab, g_ba)
+    value = summed(loss_reg, (g_ab,), (g_ba,))
+    _, pullback = loss_reg(g_ab)
     acc = sum(
         (g.values[idx] - 1.0) ** 2 / g.values.size
         for g in (g_ab, g_ba)
@@ -149,9 +156,9 @@ def test_loss_reg_matches_brute_force_and_fd():
     assert value == pytest.approx(acc, abs=1e-12)
 
     def f(x):
-        return loss_reg(GradientField(x), g_ba)[0]
+        return summed(loss_reg, (GradientField(x),), (g_ba,))
 
-    fd_check(f, g_ab.values, pullback()["g_ab"], rng)
+    fd_check(f, g_ab.values, pullback(), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +167,9 @@ def test_loss_reg_matches_brute_force_and_fd():
 
 def test_loss_jac_identity_zero():
     ident = identity_field(DIMS)
-    value, pullback = loss_jac(ident, ident)
+    value, pullback = loss_jac(ident)
     assert value == 0.0
-    assert pullback() == {}  # nothing folds, so both cotangents are zero
+    assert pullback is None  # nothing folds, so the cotangent is zero
 
 
 def test_loss_jac_single_negative_voxel():
@@ -174,7 +181,7 @@ def test_loss_jac_single_negative_voxel():
     det = deform.jacobian_det(phi).data[0]
     negatives = det[det < 0]
     expect = float((-negatives).sum()) / np.prod(dims)
-    value, _ = loss_jac(phi, identity_field(dims))
+    value = summed(loss_jac, (phi,), (identity_field(dims),))
     assert value == pytest.approx(expect, abs=1e-12)
 
 
@@ -183,7 +190,7 @@ def test_loss_jac_matches_hinge_oracle():
     for _ in range(5):
         phi_ab = random_field(rng, scale=1.2)
         phi_ba = random_field(rng, scale=1.2)
-        value, _ = loss_jac(phi_ab, phi_ba)
+        value = summed(loss_jac, (phi_ab,), (phi_ba,))
         acc = 0.0
         n = np.prod(DIMS)
         for phi in (phi_ab, phi_ba):
@@ -199,12 +206,12 @@ def test_loss_jac_gradients_match_fd():
     phi_ba = random_field(rng, scale=1.2)
     det = deform.jacobian_det(phi_ab).data[0]
     assert (det < 0).any(), "instance must exercise the hinge"
-    value, pullback = loss_jac(phi_ab, phi_ba)
+    _, pullback = loss_jac(phi_ab)
 
     def f(x):
-        return loss_jac(DeformationField(x), phi_ba)[0]
+        return summed(loss_jac, (DeformationField(x),), (phi_ba,))
 
-    fd_check(f, phi_ab.values, pullback()["phi_ab"], rng, h=1e-7)
+    fd_check(f, phi_ab.values, pullback(), rng, h=1e-7)
 
 
 def test_loss_jac_pullback_skips_det_vjp_without_folds(monkeypatch):
@@ -213,15 +220,15 @@ def test_loss_jac_pullback_skips_det_vjp_without_folds(monkeypatch):
     phi_ba = random_field(rng, scale=0.05)
     assert np.all(deform.jacobian_det(phi_ab).data > 0)
     assert np.all(deform.jacobian_det(phi_ba).data > 0)
-    value, pullback = loss_jac(phi_ab, phi_ba)
+    (v_ab, pb_ab), (v_ba, pb_ba) = loss_jac(phi_ab), loss_jac(phi_ba)
 
     def unexpected(*args):
         raise AssertionError("det_vjp called for a field without folds")
 
     monkeypatch.setattr(deform, "det_vjp", unexpected)
     monkeypatch.setattr(deform, "jacobian_matrix", unexpected)
-    assert value == 0.0
-    assert pullback() == {}  # a zero cotangent, left out
+    assert v_ab + v_ba == 0.0
+    assert pb_ab is None and pb_ba is None  # a zero cotangent, left out
 
 
 def test_loss_jac_pullback_of_one_fold_equals_det_vjp_bit_for_bit():
@@ -230,35 +237,44 @@ def test_loss_jac_pullback_of_one_fold_equals_det_vjp_bit_for_bit():
     vals[0, 3, 3, 3] = vals[0, 3, 3, 3] - 4.0
     phi = DeformationField(vals)
     ident = identity_field(dims)
-    _, pullback = loss_jac(phi, ident)
+    _, pullback = loss_jac(phi)
     grads = pullback()
     matrix = deform.jacobian_matrix(phi)
     det = deform.det3x3(matrix)
     assert np.count_nonzero(det < 0.0) > 0
     want = deform.det_vjp(matrix, np.where(det < 0.0, -1.0 / np.prod(dims), 0.0))
-    assert set(grads) == {"phi_ab"}  # the identity does not fold
-    assert np.array_equal(grads["phi_ab"].view(np.uint64), want.view(np.uint64))
+    assert loss_jac(ident)[1] is None  # the identity does not fold
+    assert np.array_equal(grads.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
 # inverse consistency
 
 
-def inv_field_grads(phi_ab, phi_ba, cot):
-    """Carry loss_inv's composition cotangents to both fields, as the backward
-    pass does: one sweep at each composition's inner field."""
-    g_ba, (g_ab_outer,) = deform.vjp_sample(phi_ba, [phi_ab.values],
-                                            [cot["compose_ab_ba"]], [True])
-    g_ab, (g_ba_outer,) = deform.vjp_sample(phi_ab, [phi_ba.values],
-                                            [cot["compose_ba_ab"]], [True])
-    return {"phi_ab": g_ab + g_ab_outer, "phi_ba": g_ba + g_ba_outer}
+def inv_pair(phi_ab, phi_ba, **kwargs):
+    """loss_inv of both directions: direction d composes the other field with its own."""
+    return summed(loss_inv, (phi_ba, phi_ab), (phi_ab, phi_ba), **kwargs)
+
+
+def inv_field_grads(phi_ab, phi_ba):
+    """Carry both directions' loss_inv cotangents to both fields, as the
+    backward pass does: one sweep at each composition's inner field, then the
+    other composition's value gradient."""
+    phis = (phi_ab, phi_ba)
+    inner, outer = [], []
+    for d in (0, 1):
+        _, pullback = loss_inv(phis[1 - d], phis[d])
+        g, (g_outer,) = deform.vjp_sample(phis[d], [phis[1 - d].values], [pullback()], [True])
+        inner.append(g)
+        outer.append(g_outer)
+    return inner[0] + outer[1], inner[1] + outer[0]
 
 
 def test_loss_inv_identity_zero():
     ident = identity_field(DIMS)
-    value, pullback = loss_inv(ident, ident)
+    value = inv_pair(ident, ident)
     assert value == 0.0
-    assert np.all(inv_field_grads(ident, ident, pullback())["phi_ab"] == 0.0)
+    assert np.all(inv_field_grads(ident, ident)[0] == 0.0)
 
 
 def test_loss_inv_translation_pair_interior():
@@ -267,8 +283,7 @@ def test_loss_inv_translation_pair_interior():
     inv = identity_field(dims).values.copy()
     fwd[0] += 1.0
     inv[0] -= 1.0
-    value, _ = loss_inv(DeformationField(fwd), DeformationField(inv),
-                        interior_margin=2)
+    value = inv_pair(DeformationField(fwd), DeformationField(inv), interior_margin=2)
     assert value < 1e-20
 
 
@@ -278,7 +293,7 @@ def test_loss_inv_translation_same_direction():
     t = identity_field(dims).values.copy()
     t[0] += 1.0
     phi = DeformationField(t)
-    value, _ = loss_inv(phi, phi, interior_margin=3)
+    value = inv_pair(phi, phi, interior_margin=3)
     assert value == pytest.approx(2.0 * 4.0 / 3.0, abs=1e-9)
 
 
@@ -286,17 +301,16 @@ def test_loss_inv_gradients_match_fd():
     rng = np.random.default_rng(7)
     phi_ab = random_field(rng, scale=0.3)
     phi_ba = random_field(rng, scale=0.3)
-    value, pullback = loss_inv(phi_ab, phi_ba)
-    grads = inv_field_grads(phi_ab, phi_ba, pullback())
+    g_ab, g_ba = inv_field_grads(phi_ab, phi_ba)
 
     def f_ab(x):
-        return loss_inv(DeformationField(x), phi_ba)[0]
+        return inv_pair(DeformationField(x), phi_ba)
 
     def f_ba(x):
-        return loss_inv(phi_ab, DeformationField(x))[0]
+        return inv_pair(phi_ab, DeformationField(x))
 
-    fd_check(f_ab, phi_ab.values, grads["phi_ab"], rng)
-    fd_check(f_ba, phi_ba.values, grads["phi_ba"], rng)
+    fd_check(f_ab, phi_ab.values, g_ab, rng)
+    fd_check(f_ba, phi_ba.values, g_ba, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -310,11 +324,8 @@ def all_identity_inputs():
     ones = GradientField(np.ones((3,) + DIMS))
     labels = LabelVolume(rng.integers(0, 3, DIMS))
     seg = one_hot(labels, [1, 2])
-    return dict(
-        a_warp=a, b=a, b_warp=a, a=a, g_ab=ones, g_ba=ones,
-        phi_ab=ident, phi_ba=ident,
-        a_seg_warp=seg, b_seg=seg, b_seg_warp=seg, a_seg=seg,
-    )
+    return dict(warps=(a, a), targets=(a, a), gs=(ones, ones), phis=(ident, ident),
+                seg_warps=(seg, seg), seg_targets=(seg, seg))
 
 
 def test_loss_total_all_identity_is_zero_except_dice_smoothing():
@@ -327,15 +338,12 @@ def test_loss_total_all_identity_is_zero_except_dice_smoothing():
 
 def test_loss_total_weighted_recombination():
     rng = np.random.default_rng(9)
+    a_warp, b, b_warp, a = (vol(rng.uniform(0, 1, (1,) + DIMS)) for _ in range(4))
     inputs = dict(
-        a_warp=vol(rng.uniform(0, 1, (1,) + DIMS)),
-        b=vol(rng.uniform(0, 1, (1,) + DIMS)),
-        b_warp=vol(rng.uniform(0, 1, (1,) + DIMS)),
-        a=vol(rng.uniform(0, 1, (1,) + DIMS)),
-        g_ab=GradientField(rng.uniform(0.2, 1.8, (3,) + DIMS)),
-        g_ba=GradientField(rng.uniform(0.2, 1.8, (3,) + DIMS)),
-        phi_ab=random_field(rng, scale=0.8),
-        phi_ba=random_field(rng, scale=0.8),
+        warps=(a_warp, b_warp),
+        targets=(b, a),
+        gs=tuple(GradientField(rng.uniform(0.2, 1.8, (3,) + DIMS)) for _ in range(2)),
+        phis=tuple(random_field(rng, scale=0.8) for _ in range(2)),
     )
     w = LossWeights(1.0, 1.0, 0.1, 0.01, 10.0)
     bd, _ = loss_total(weights=w, **inputs)
@@ -350,9 +358,22 @@ def test_loss_total_weighted_recombination():
 
 def test_loss_total_keeps_pullbacks_of_weighted_terms_only():
     _, pullbacks = loss_total(weights=LossWeights(1, 0, 0.1, 0, 10), **all_identity_inputs())
-    assert [w for w, _ in pullbacks] == [1, 0.1, 10]
-    assert {key for _, pb in pullbacks for key in pb()} == {
-        "a_warp", "b_warp", "g_ab", "g_ba", "compose_ab_ba", "compose_ba_ab"}
+    assert [w for w, *_ in pullbacks] == [1, 1, 0.1, 0.1, 10, 10]
+    assert [(d, key) for _, d, key, _ in pullbacks] == [
+        (0, "warp"), (1, "warp"), (0, "g"), (1, "g"), (0, "compose"), (1, "compose")]
+    assert all(isinstance(pb(), np.ndarray) for *_, pb in pullbacks)
+
+    # all weights on and both fields folding: each direction gets every input
+    # once, so the backward pass assigns each cotangent instead of merging
+    rng = np.random.default_rng(6)
+    inputs = all_identity_inputs()
+    inputs["phis"] = (random_field(rng, scale=1.2), random_field(rng, scale=1.2))
+    assert all((deform.jacobian_det(phi).data < 0).any() for phi in inputs["phis"])
+    _, pullbacks = loss_total(weights=LossWeights(), **inputs)
+    keys = [(d, key) for _, d, key, _ in pullbacks]
+    assert len(keys) == len(set(keys))
+    assert sorted(keys) == sorted((d, key) for d in (0, 1)
+                                  for key in ("warp", "seg_warp", "g", "phi", "compose"))
 
 
 def test_loss_total_swap_symmetry():
@@ -366,15 +387,15 @@ def test_loss_total_swap_symmetry():
     p1 = random_field(rng)
     p2 = random_field(rng)
     w = LossWeights(1, 0, 0.1, 0.01, 10)
-    bd, _ = loss_total(aw, b, bw, a, g1, g2, p1, p2, w)
-    swapped, _ = loss_total(bw, a, aw, b, g2, g1, p2, p1, w)
+    bd, _ = loss_total((aw, bw), (b, a), (g1, g2), (p1, p2), w)
+    swapped, _ = loss_total((bw, aw), (a, b), (g2, g1), (p2, p1), w)
     for term in ("sim", "seg", "reg", "jac", "inv", "total"):
         assert getattr(bd, term) == getattr(swapped, term)
 
 
 def test_loss_total_requires_complete_seg_inputs():
     inputs = all_identity_inputs()
-    inputs["b_seg"] = None
+    inputs["seg_targets"] = None
     with pytest.raises(ValueError, match="all together"):
         loss_total(weights=LossWeights(), **inputs)
 
