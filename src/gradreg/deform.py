@@ -14,19 +14,21 @@ constant (zero gradient).
 All trilinear sampling at a deformation field runs through one kernel,
 ``SamplePlan``, built from the field's (3, *dims) coordinates: the flat index
 of each sample's lowest corner (N,) intp, the eight constant flat corner
-offsets, corner weights (8, N) f64, fractional offsets (3, N) f64 and the
-inside-mask (3, N) bool, 99 bytes per sample.  Every pass runs over one
-contiguous (N,) channel plane at a time, and every field, gradient and warp is
-a C-contiguous stack of such planes.  The build, the gather and the coordinate
+offsets, fractional offsets (3, N) f64 and the inside-mask (3, N) bool, 35
+bytes per sample.  The corner weights are products of the fractional offsets
+and are not kept: the gather computes them per block, the scatter builds the
+(8, N) table for the length of its call.  Every pass runs over one contiguous
+(N,) channel plane at a time, and every field, gradient and warp is a
+C-contiguous stack of such planes.  The build, the gather and the coordinate
 adjoint walk the samples in cache-sized blocks; the value adjoint (scatter)
 adds each corner's weighted upstream into the output plane in place, eight
 corner passes per channel through scipy's sparse matrix-vector kernel, which
-only the backward pass imports.  No pass allocates a temporary of 8N entries.
-A ``DeformationField`` builds its plan when first sampled at and keeps it for
-its lifetime, so every warp, composition and adjoint at that field shares it;
-``values`` must not change afterwards.  ``vjp_sample`` is the whole adjoint at
-one field in one sweep.  ``upsample`` uses no plan: it runs one two-tap
-hat-weight pass per axis.
+only the backward pass imports.  A ``DeformationField`` builds its plan when
+first sampled at and keeps it for its lifetime, so every warp, composition
+and adjoint at that field shares it; ``values`` must not change afterwards.
+``sample`` gathers every source sampled at one field in one pass, and
+``vjp_sample`` is the whole adjoint there in one sweep.  ``upsample`` uses no
+plan: it runs one two-tap hat-weight pass per axis.
 """
 
 from __future__ import annotations
@@ -165,7 +167,6 @@ class SamplePlan:
         self.base = np.empty(samples, dtype=np.intp)
         self.frac = np.empty((3, samples))
         self.inside = np.empty((3, samples), dtype=bool)
-        self.weight = np.empty((8, samples))
         for s in _blocks(samples):
             xyz, frac = flat[:, s], self.frac[:, s]
             np.clip(xyz, 0.0, top, out=frac)
@@ -175,25 +176,33 @@ class SamplePlan:
             self.base[s] = (ix * ny + iy) * nz + iz
             frac -= low
             self.inside[:, s] = (xyz >= 0.0) & (xyz <= top)
-            wx, wy, wz = ((1.0 - f, f) for f in frac)
-            for k in range(8):
-                np.multiply(wx[k >> 2] * wy[(k >> 1) & 1], wz[k & 1], out=self.weight[k, s])
 
-    def gather(self, values: np.ndarray) -> np.ndarray:
-        """Sample (C, *dims) channel data; returns C-contiguous (C, *shape)."""
-        planes = [channel.ravel() for channel in values]
-        out = np.empty((len(planes), self.base.size))
-        corner = np.empty(min(self.base.size, _TILE))
+    def _weights(self, s: slice, out: np.ndarray) -> np.ndarray:
+        """The (8, m) corner weights of the samples in block ``s``, into ``out``."""
+        wx, wy, wz = ((1.0 - f, f) for f in self.frac[:, s])
+        for k in range(8):
+            np.multiply(wx[k >> 2] * wy[(k >> 1) & 1], wz[k & 1], out=out[k])
+        return out
+
+    def gather(self, sources) -> list[np.ndarray]:
+        """Sample each (C, *dims) source; returns a C-contiguous (C, *shape) array
+        per source.  A block's weights serve every channel of every source."""
+        sources = [[channel.ravel() for channel in source] for source in sources]
+        outs = [np.empty((len(planes), self.base.size)) for planes in sources]
+        tile = min(self.base.size, _TILE)
+        weights, corner = np.empty((8, tile)), np.empty(tile)
         for s in _blocks(self.base.size):
-            base, weight, buf = self.base[s], self.weight[:, s], corner[:s.stop - s.start]
-            for acc, plane in zip(out[:, s], planes):
-                np.take(plane, base, out=acc, mode="clip")
-                acc *= weight[0]
-                for k in range(1, 8):
-                    np.take(plane[self.offsets[k]:], base, out=buf, mode="clip")
-                    buf *= weight[k]
-                    acc += buf
-        return out.reshape((len(planes),) + self.shape)
+            m = s.stop - s.start
+            base, weight, buf = self.base[s], self._weights(s, weights[:, :m]), corner[:m]
+            for out, planes in zip(outs, sources):
+                for acc, plane in zip(out[:, s], planes):
+                    np.take(plane, base, out=acc, mode="clip")
+                    acc *= weight[0]
+                    for k in range(1, 8):
+                        np.take(plane[self.offsets[k]:], base, out=buf, mode="clip")
+                        buf *= weight[k]
+                        acc += buf
+        return [out.reshape((len(out),) + self.shape) for out in outs]
 
     def scatter(self, upstream) -> np.ndarray:
         """Adjoint of ``gather`` w.r.t. the values: C channels -> (C, *dims).
@@ -204,12 +213,15 @@ class SamplePlan:
         from scipy.sparse import _sparsetools  # loaded by the backward pass only
         n, size = self.base.size, math.prod(self.dims)
         columns = np.arange(n + 1, dtype=np.intp)  # one sample per CSC column
+        weights = np.empty((8, n))  # the whole table, for this call only
+        for s in _blocks(n):
+            self._weights(s, weights[:, s])
         out = np.zeros((len(upstream), size))
         for acc, up in zip(out, upstream):
             up = np.asarray(up, dtype=np.float64).ravel()
             if up.size != n:  # the kernel reads n values unchecked
                 raise ValueError(f"upstream channel has {up.size} samples, the plan {n}")
-            for offset, weight in zip(self.offsets, self.weight):
+            for offset, weight in zip(self.offsets, weights):
                 # acc[offset + base[j]] += weight[j] * up[j] for j = 0, 1, ...
                 _sparsetools.csc_matvec(size - offset, n, columns, self.base, weight, up,
                                         acc[offset:])
@@ -316,11 +328,18 @@ def identity_field(dims) -> DeformationField:
     return DeformationField(np.indices(tuple(int(n) for n in dims), dtype=np.float64))
 
 
+def sample(phi: DeformationField, sources) -> list[np.ndarray]:
+    """Trilinear samples at ``phi`` of every (C, *dims) source, in one pass of its
+    plan: a separate (C, *dims) array per source.  The mirror of ``vjp_sample``."""
+    for source in sources:
+        if source.shape[1:] != phi.dims:
+            raise ValueError(f"source dims {source.shape[1:]} != field dims {phi.dims}")
+    return phi.plan.gather(sources)
+
+
 def warp(img: Volume, phi: DeformationField) -> Volume:
     """Backward trilinear warp: out(p) = img(Phi(p)), coordinates clamped."""
-    if img.dims != phi.dims:
-        raise ValueError(f"image dims {img.dims} != field dims {phi.dims}")
-    return Volume(phi.plan.gather(img.data), spacing_mm=img.spacing_mm, dtype=img.dtype)
+    return Volume(sample(phi, [img.data])[0], spacing_mm=img.spacing_mm, dtype=img.dtype)
 
 
 def warp_labels(l: LabelVolume, phi: DeformationField) -> LabelVolume:
@@ -338,9 +357,7 @@ def warp_labels(l: LabelVolume, phi: DeformationField) -> LabelVolume:
 
 def compose(outer: DeformationField, inner: DeformationField) -> DeformationField:
     """Composition (outer o inner)(p) = outer(inner(p)) by trilinear sampling."""
-    if outer.dims != inner.dims:
-        raise ValueError(f"field dims mismatch: {outer.dims} vs {inner.dims}")
-    return DeformationField(inner.plan.gather(outer.values))
+    return DeformationField(sample(inner, [outer.values])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +399,23 @@ def axis_gradient_adjoint(u: np.ndarray, axis: int) -> np.ndarray:
 
 def jacobian_matrix(phi: DeformationField) -> np.ndarray:
     """All nine partials d Phi_a / d axis_b, shape (3, 3, nx, ny, nz)."""
+    return _partials(phi, 0, phi.dims[0])
+
+
+def _partials(phi: DeformationField, start: int, stop: int) -> np.ndarray:
+    """The nine partials at the axis-0 rows [start, stop), bit for bit those of
+    the whole field: the axis-0 ones are taken over the rows and a one-row halo,
+    widened to at least 3 rows."""
     if min(phi.dims) < 3:
         raise ValueError(f"jacobian requires dims >= 3 per axis, got {phi.dims}")
-    d = np.empty((3, 3) + phi.dims)
-    for a in range(3):
-        for b in range(3):
-            axis_gradient(phi.values[a], b, out=d[a, b])
+    nx = phi.dims[0]
+    lo = max(min(start - 1, nx - 3), 0)
+    hi = max(min(stop + 1, nx), lo + 3)
+    d = np.empty((3, 3, stop - start) + phi.dims[1:])
+    for a, f in enumerate(phi.values):
+        d[a, 0] = axis_gradient(f[lo:hi], 0)[start - lo:stop - lo]
+        axis_gradient(f[start:stop], 1, out=d[a, 1])
+        axis_gradient(f[start:stop], 2, out=d[a, 2])
     return d
 
 
@@ -403,10 +431,20 @@ def det3x3(d: np.ndarray) -> np.ndarray:
             + d[0, 2] * _cofactor(d, 0, 2))
 
 
+def jacobian_det_values(phi: DeformationField) -> np.ndarray:
+    """``det3x3(jacobian_matrix(phi))`` bit for bit, shape (nx, ny, nz), in axis-0
+    slabs of about ``_TILE`` samples, so no (3, 3, N) matrix is built."""
+    nx, ny, nz = phi.dims
+    rows = max(1, _TILE // (ny * nz))
+    det = np.empty(phi.dims)
+    for i in range(0, nx, rows):
+        det[i:i + rows] = det3x3(_partials(phi, i, min(i + rows, nx)))
+    return det
+
+
 def jacobian_det(phi: DeformationField) -> Volume:
     """Determinant of the finite-difference Jacobian, as a 1-channel Volume."""
-    det = det3x3(jacobian_matrix(phi))
-    return Volume(det[np.newaxis], dtype="f32")
+    return Volume(jacobian_det_values(phi)[np.newaxis], dtype="f32")
 
 
 def det_vjp(d: np.ndarray, upstream_det: np.ndarray) -> np.ndarray:
@@ -424,10 +462,14 @@ def det_vjp(d: np.ndarray, upstream_det: np.ndarray) -> np.ndarray:
 
 
 def vjp_activate(x_values: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Adjoint of activate: 2*sigma(x)*(1-sigma(x)) * upstream."""
+    """Adjoint of activate: 2*sigma(x)*(1-sigma(x)) * upstream, formed in place."""
     from scipy.special import expit
     s = expit(x_values)
-    return (2.0 * s * (1.0 - s)) * upstream
+    t = 1.0 - s
+    s *= 2.0
+    s *= t
+    s *= upstream
+    return s
 
 
 def vjp_integrate(upstream: np.ndarray) -> np.ndarray:

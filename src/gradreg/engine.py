@@ -158,9 +158,12 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
 
     Each step generates the A-to-B direction from +delta and the B-to-A
     direction from -delta, so swapping the inputs and negating the deltas
-    yields the exact mirror.  The loss applies to every step's warped volumes
-    against the original targets and the step totals add up.  Each step keeps
-    its fields and the sequential warps that its loss saw.
+    yields the exact mirror.  Each field is sampled at once by one gather: the
+    previous warped image, the previous warped one-hot labels and the other
+    field, the outer map of its loss_inv composition.  The loss applies to
+    every step's warped volumes against the original targets and the step
+    totals add up.  Each step keeps its fields and the sequential warps that
+    its loss saw.
     """
     if not deltas:
         raise ValueError("at least one parameter field is required")
@@ -172,10 +175,14 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
         x = deform.upsample(delta, a.dims)
         gs = tuple(map(deform.activate, (x, PreActivationField(-x.values, stride=1))))
         phis = tuple(map(deform.integrate, gs))
-        warps = tuple(map(deform.warp, warps, phis))
-        if segs is not None:
-            seg_warps = tuple(map(deform.warp, seg_warps, phis))
-        breakdown, pullbacks = loss_total(warps, (b, a), gs, phis, weights,
+        inputs = list(zip(warps) if segs is None else zip(warps, seg_warps))
+        sampled = [deform.sample(phi, [v.data for v in volumes] + [other.values])
+                   for phi, volumes, other in zip(phis, inputs, phis[::-1])]
+        composed = tuple(out.pop() for out in sampled)
+        warps, *labelled = zip(*[[replace(v, data=out) for v, out in zip(volumes, outs)]
+                                 for volumes, outs in zip(inputs, sampled)])
+        seg_warps = labelled[0] if labelled else None
+        breakdown, pullbacks = loss_total(warps, (b, a), gs, phis, composed, weights,
                                           seg_warps, seg_targets)
         steps.append(StepForward(x, phis, warps, seg_warps, breakdown, pullbacks))
     breakdown = LossBreakdown(*(sum(getattr(s.breakdown, f.name) for s in steps)
@@ -198,9 +205,10 @@ def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
               deltas: list[PreActivationField]) -> list[np.ndarray]:
     """Reverse-mode chain through every step, back to each parameter field.
 
-    Direction d's field samples, in this order, the warped image, the warped
-    one-hot labels and the other field, as the outer map of its loss_inv
-    composition; one sweep at the field carries all of their cotangents.
+    Direction d's field sampled, in one gather and in this order, the warped
+    image, the warped one-hot labels and the other field, as the outer map of
+    its loss_inv composition; one sweep at the field carries all of their
+    cotangents.
     """
     carry: list[dict[str, np.ndarray]] = [{}, {}]
     grads: list[np.ndarray | None] = [None] * len(steps)
@@ -238,7 +246,8 @@ def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
                 gg[d] += cot[d]["g"]
 
         x_full = step.x.values
-        gx = deform.vjp_activate(x_full, gg[0]) - deform.vjp_activate(-x_full, gg[1])
+        gx = deform.vjp_activate(x_full, gg[0])
+        gx -= deform.vjp_activate(-x_full, gg[1])
         grads[k] = deform.vjp_upsample(gx, deltas[k].stride, deltas[k].control_dims)
     return grads
 

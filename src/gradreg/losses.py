@@ -5,8 +5,10 @@ weights are resolution independent; ``loss_total`` sums it over both
 directions.  A term computes its value and returns it with a pullback, a
 function of no arguments giving the exact cotangent w.r.t. the term's one
 differentiated input; only the backward pass runs it, and ``loss_total``
-returns the weighted ones beside a plain ``LossBreakdown``.  All terms are
-nonnegative and exactly zero on the all-identity configuration.
+returns the weighted ones beside a plain ``LossBreakdown``.  The terms take
+values the forward pass has already sampled: the inverse-consistency term
+takes a composition's coordinates and forms its residual in them.  All terms
+are nonnegative and exactly zero on the all-identity configuration.
 """
 
 from __future__ import annotations
@@ -55,15 +57,11 @@ class LossBreakdown:
         return asdict(self)
 
 
-def _check_same_shape(kind: str, *arrays: np.ndarray) -> None:
-    shapes = {a.shape for a in arrays}
-    if len(shapes) != 1:
-        raise ValueError(f"{kind} inputs must share one shape, got {sorted(shapes)}")
-
-
 def loss_sim(warped: Volume, target: Volume):
     """Mean squared intensity error of a warped volume against its target."""
-    _check_same_shape("similarity", warped.data, target.data)
+    if warped.data.shape != target.data.shape:
+        raise ValueError(f"similarity inputs must share one shape, got "
+                         f"{warped.data.shape} and {target.data.shape}")
     d = warped.data - target.data
     return float(np.mean(d * d)), lambda: (2.0 / d.size) * d
 
@@ -98,7 +96,7 @@ def loss_jac(phi: DeformationField):
     field does not fold, as its cotangent is then zero.
     """
     n = float(np.prod(phi.dims))
-    det = deform.det3x3(deform.jacobian_matrix(phi))
+    det = deform.jacobian_det_values(phi)
     value = float(np.sum(np.maximum(0.0, -det))) / n
     mask = det < 0.0
     if not mask.any():
@@ -107,19 +105,24 @@ def loss_jac(phi: DeformationField):
                                          np.where(mask, -1.0 / n, 0.0))
 
 
-def loss_inv(outer: DeformationField, inner: DeformationField, interior_margin: int = 0):
-    """Mean squared residual of ``compose(outer, inner)`` against the identity map.
+def loss_inv(composed: np.ndarray, interior_margin: int = 0):
+    """Mean squared residual of a composition's values against the identity map.
 
+    ``composed`` holds the (3, nx, ny, nz) coordinates of ``compose(outer,
+    inner)``; the residual is formed in it, in place, so it is consumed.
     ``interior_margin`` excludes a border shell of that many voxels from the
     mean (and its gradients); the default 0 evaluates everywhere.  The
     pullback gives the cotangent of the composition; the backward pass carries
     it to both fields.
     """
-    _check_same_shape("inverse-consistency", outer.values, inner.values)
-    dims, m = outer.dims, interior_margin
+    if composed.ndim != 4 or composed.shape[0] != 3:
+        raise ValueError(f"composition must have shape (3, nx, ny, nz), got {composed.shape}")
+    dims, m = composed.shape[1:], interior_margin
     if m > 0 and any(n <= 2 * m for n in dims):
         raise ValueError(f"interior margin {m} leaves no voxels of dims {dims}")
-    resid = deform.compose(outer, inner).values - deform.identity_field(dims).values
+    resid = composed
+    for axis, n in enumerate(dims):  # minus the identity map, np.indices' values
+        resid[axis] -= np.arange(n, dtype=np.float64).reshape((-1,) + (1,) * (2 - axis))
     if m > 0:
         mask = np.zeros(dims)
         mask[m:dims[0] - m, m:dims[1] - m, m:dims[2] - m] = 1.0
@@ -132,14 +135,15 @@ def loss_inv(outer: DeformationField, inner: DeformationField, interior_margin: 
     return value, lambda: resid
 
 
-def loss_total(warps, targets, gs, phis, weights: LossWeights, seg_warps=None,
+def loss_total(warps, targets, gs, phis, composed, weights: LossWeights, seg_warps=None,
                seg_targets=None) -> tuple[LossBreakdown, list[tuple[float, int, str, Callable]]]:
     """Weighted five-term loss of a pair of directions, and the pullback of
     every direction of every term with a nonzero weight.
 
     Every argument but the weights is a pair in direction order (A-to-B,
-    B-to-A); direction d's inverse-consistency residual composes the other
-    field with its own.  Each term's value is the sum of its two directions.
+    B-to-A); ``phis`` serve the Jacobian term, and ``composed`` holds direction
+    d's composition of the other field with its own, which ``loss_inv``
+    consumes.  Each term's value is the sum of its two directions.
     A pullback comes as ``(weight, direction, input, pullback)``, its input one
     of ``warp``, ``seg_warp``, ``g``, ``phi`` and ``compose``.  Omitting the
     segmentation inputs forces the beta term to zero (unsupervised mode).
@@ -151,7 +155,7 @@ def loss_total(warps, targets, gs, phis, weights: LossWeights, seg_warps=None,
               else [loss_seg(p, q) for p, q in zip(seg_warps, seg_targets)]),
              (weights.gamma, "g", [loss_reg(g) for g in gs]),
              (weights.delta, "phi", [loss_jac(phi) for phi in phis]),
-             (weights.epsilon, "compose", [loss_inv(phis[1 - d], phis[d]) for d in (0, 1)])]
+             (weights.epsilon, "compose", [loss_inv(c) for c in composed])]
     sim, seg, reg, jac, inv = (ab + ba for _, _, ((ab, _), (ba, _)) in terms)
     total = (
         weights.alpha * sim

@@ -189,8 +189,8 @@ def test_criterion_4_monotonic_integration():
 
 def inverse_pair_loss(fwd, inv, margin):
     """loss_inv of both compositions, fwd after inv and inv after fwd."""
-    return (loss_inv(fwd, inv, interior_margin=margin)[0]
-            + loss_inv(inv, fwd, interior_margin=margin)[0])
+    return (loss_inv(deform.compose(fwd, inv).values, interior_margin=margin)[0]
+            + loss_inv(deform.compose(inv, fwd).values, interior_margin=margin)[0])
 
 
 def test_criterion_5_inverse_consistency_oracle():

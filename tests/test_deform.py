@@ -12,10 +12,12 @@ from gradreg.deform import (
     axis_gradient_adjoint,
     compose,
     control_dims_for,
+    det3x3,
     det_vjp,
     identity_field,
     integrate,
     jacobian_det,
+    jacobian_det_values,
     jacobian_matrix,
     upsample,
     vjp_activate,
@@ -271,6 +273,18 @@ def test_jacobian_det_matches_cofactor_oracle_exactly():
         phi = random_field(rng, dims=(4, 5, 6), scale=1.5)
         ours = jacobian_det(phi).data[0]
         assert np.array_equal(ours, jacobian_det_oracle(phi))
+
+
+def test_slab_determinant_equals_the_whole_matrix_bit_for_bit():
+    rng = np.random.default_rng(13)
+    # 29 * 26 * 23 ends in a 2-row slab; 3 * 200 * 100 has more than _TILE samples per row
+    for dims in ((48, 48, 48), (64, 64, 64), (3, 4, 5), (5, 3, 7), (29, 26, 23), (4, 9, 9),
+                 (3, 200, 100)):
+        phi = random_field(rng, dims=dims, scale=0.8)
+        want = det3x3(jacobian_matrix(phi))
+        for got in (jacobian_det_values(phi), jacobian_det(phi).data[0]):
+            assert got.shape == dims
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_jacobian_det_requires_three_voxels():

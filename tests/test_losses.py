@@ -253,7 +253,13 @@ def test_loss_jac_pullback_of_one_fold_equals_det_vjp_bit_for_bit():
 
 def inv_pair(phi_ab, phi_ba, **kwargs):
     """loss_inv of both directions: direction d composes the other field with its own."""
-    return summed(loss_inv, (phi_ba, phi_ab), (phi_ab, phi_ba), **kwargs)
+    ab, ba = compositions((phi_ab, phi_ba))
+    return summed(loss_inv, (ab,), (ba,), **kwargs)
+
+
+def compositions(phis):
+    """Each direction's loss_inv input: the other field composed with its own."""
+    return tuple(deform.compose(phis[1 - d], phis[d]).values for d in (0, 1))
 
 
 def inv_field_grads(phi_ab, phi_ba):
@@ -263,7 +269,7 @@ def inv_field_grads(phi_ab, phi_ba):
     phis = (phi_ab, phi_ba)
     inner, outer = [], []
     for d in (0, 1):
-        _, pullback = loss_inv(phis[1 - d], phis[d])
+        _, pullback = loss_inv(deform.compose(phis[1 - d], phis[d]).values)
         g, (g_outer,) = deform.vjp_sample(phis[d], [phis[1 - d].values], [pullback()], [True])
         inner.append(g)
         outer.append(g_outer)
@@ -297,6 +303,25 @@ def test_loss_inv_translation_same_direction():
     assert value == pytest.approx(2.0 * 4.0 / 3.0, abs=1e-9)
 
 
+def test_loss_inv_matches_the_identity_field_formula_bit_for_bit():
+    rng = np.random.default_rng(12)
+    dims = (7, 6, 8)
+    outer, inner = random_field(rng, scale=0.8, dims=dims), random_field(rng, scale=0.8, dims=dims)
+    for margin in (0, 2):
+        # the residual against np.indices, masked, as a separate array
+        resid = deform.compose(outer, inner).values - identity_field(dims).values
+        mask = np.zeros(dims)
+        mask[margin:dims[0] - margin, margin:dims[1] - margin, margin:dims[2] - margin] = 1.0
+        resid *= mask
+        count = 3.0 * float(mask.sum())
+        want = float(np.sum(resid * resid)) / count
+        value, pullback = loss_inv(deform.compose(outer, inner).values, interior_margin=margin)
+        assert value.hex() == want.hex()
+        cotangent = pullback()
+        assert cotangent.shape == resid.shape
+        assert np.array_equal(cotangent.view(np.uint64), (resid * (2.0 / count)).view(np.uint64))
+
+
 def test_loss_inv_gradients_match_fd():
     rng = np.random.default_rng(7)
     phi_ab = random_field(rng, scale=0.3)
@@ -325,7 +350,8 @@ def all_identity_inputs():
     labels = LabelVolume(rng.integers(0, 3, DIMS))
     seg = one_hot(labels, [1, 2])
     return dict(warps=(a, a), targets=(a, a), gs=(ones, ones), phis=(ident, ident),
-                seg_warps=(seg, seg), seg_targets=(seg, seg))
+                composed=compositions((ident, ident)), seg_warps=(seg, seg),
+                seg_targets=(seg, seg))
 
 
 def test_loss_total_all_identity_is_zero_except_dice_smoothing():
@@ -345,6 +371,7 @@ def test_loss_total_weighted_recombination():
         gs=tuple(GradientField(rng.uniform(0.2, 1.8, (3,) + DIMS)) for _ in range(2)),
         phis=tuple(random_field(rng, scale=0.8) for _ in range(2)),
     )
+    inputs["composed"] = compositions(inputs["phis"])
     w = LossWeights(1.0, 1.0, 0.1, 0.01, 10.0)
     bd, _ = loss_total(weights=w, **inputs)
     assert bd.seg == 0.0  # unsupervised mode
@@ -368,6 +395,7 @@ def test_loss_total_keeps_pullbacks_of_weighted_terms_only():
     rng = np.random.default_rng(6)
     inputs = all_identity_inputs()
     inputs["phis"] = (random_field(rng, scale=1.2), random_field(rng, scale=1.2))
+    inputs["composed"] = compositions(inputs["phis"])
     assert all((deform.jacobian_det(phi).data < 0).any() for phi in inputs["phis"])
     _, pullbacks = loss_total(weights=LossWeights(), **inputs)
     keys = [(d, key) for _, d, key, _ in pullbacks]
@@ -387,8 +415,8 @@ def test_loss_total_swap_symmetry():
     p1 = random_field(rng)
     p2 = random_field(rng)
     w = LossWeights(1, 0, 0.1, 0.01, 10)
-    bd, _ = loss_total((aw, bw), (b, a), (g1, g2), (p1, p2), w)
-    swapped, _ = loss_total((bw, aw), (a, b), (g2, g1), (p2, p1), w)
+    bd, _ = loss_total((aw, bw), (b, a), (g1, g2), (p1, p2), compositions((p1, p2)), w)
+    swapped, _ = loss_total((bw, aw), (a, b), (g2, g1), (p2, p1), compositions((p2, p1)), w)
     for term in ("sim", "seg", "reg", "jac", "inv", "total"):
         assert getattr(bd, term) == getattr(swapped, term)
 

@@ -127,8 +127,8 @@ def test_inverse_pairs_compose_to_identity_interior(warp_spec):
     for outer, inner in ((fwd, inv), (inv, fwd)):
         comp = compose(outer, inner).values
         assert np.max(np.abs((comp - ident)[sl])) < 1e-6
-    value = (loss_inv(fwd, inv, interior_margin=margin)[0]
-             + loss_inv(inv, fwd, interior_margin=margin)[0])
+    value = (loss_inv(compose(fwd, inv).values, interior_margin=margin)[0]
+             + loss_inv(compose(inv, fwd).values, interior_margin=margin)[0])
     assert value < 1e-6
 
 

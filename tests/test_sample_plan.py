@@ -32,7 +32,7 @@ def test_gather_scatter_dot_product_identity(case):
     plan = SamplePlan(draw_coords(rng, case["dims"], case["shape"]), case["dims"])
     v = rng.standard_normal((case["channels"],) + case["dims"])
     u = rng.standard_normal((case["channels"],) + case["shape"])
-    lhs = float(np.sum(plan.gather(v) * u))
+    lhs = float(np.sum(plan.gather([v])[0] * u))
     rhs = float(np.sum(v * plan.scatter(u)))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
@@ -49,7 +49,7 @@ def test_coords_grad_matches_central_differences(case):
 
     def f(t):
         moved = [c + t * d for c, d in zip(coords, direction)]
-        return float(np.sum(SamplePlan(moved, dims).gather(v) * u))
+        return float(np.sum(SamplePlan(moved, dims).gather([v])[0] * u))
 
     grad = SamplePlan(coords, dims).coords_grad(v, u)
     analytic = sum(float(np.sum(g * d)) for g, d in zip(grad, direction))
@@ -120,6 +120,34 @@ def check_plan_against_reference(rng, dims):
     gi, (go,) = deform.vjp_sample(phi, [other.values], [upstream], [True])
     assert_same_bits(go, ref_outer)
     assert_same_bits(gi, ref_inner)
+
+
+def test_one_sample_call_equals_separate_warps_and_compose_bit_for_bit():
+    rng = np.random.default_rng(6)
+    for dims in ((29, 26, 23), (7, 1, 5)):
+        phi, other = random_field(rng, dims), random_field(rng, dims)
+        image = Volume(rng.uniform(0.0, 1.0, (1,) + dims), dtype="f64")
+        labels = Volume(rng.uniform(0.0, 1.0, (3,) + dims), dtype="f64")
+        outs = deform.sample(phi, [image.data, labels.data, other.values])
+        wants = [deform.warp(image, phi).data, deform.warp(labels, phi).data,
+                 deform.compose(other, phi).values]
+        assert len(outs) == 3
+        for got, want in zip(outs, wants):
+            assert_same_bits(got, want)
+        # one array per source, so a kept warp holds no other source's samples
+        for i, got in enumerate(outs):
+            assert got.base is None or got.base.size == got.size
+            assert not any(np.shares_memory(got, o) for o in outs[i + 1:])
+
+
+def test_plan_keeps_at_most_35_bytes_per_sample():
+    rng = np.random.default_rng(7)
+    for dims, shape in (((7, 6, 5), (7, 6, 5)), ((29, 26, 23), (29, 26, 23)),
+                        ((4, 1, 3), (2, 5, 6))):
+        plan = SamplePlan(draw_coords(rng, dims, shape), dims)
+        held = sum(a.nbytes for a in vars(plan).values() if isinstance(a, np.ndarray))
+        assert plan.base.size == np.prod(shape)
+        assert held <= 35 * plan.base.size
 
 
 def assert_close(got, want, rel=1e-13):
