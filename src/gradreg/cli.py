@@ -260,7 +260,7 @@ def _cmd_jacobian(args) -> int:
     det = deform.jacobian_det(field)
     write_volume(det, args.out)
     if args.sdlogj:
-        print(_fmt(metrics.sdlogj(field)))
+        print(_fmt(metrics.sdlogj_from_det(det.data[0])))
     return 0
 
 

@@ -397,11 +397,6 @@ def axis_gradient_adjoint(u: np.ndarray, axis: int) -> np.ndarray:
     return g
 
 
-def jacobian_matrix(phi: DeformationField) -> np.ndarray:
-    """All nine partials d Phi_a / d axis_b, shape (3, 3, nx, ny, nz)."""
-    return _partials(phi, 0, phi.dims[0])
-
-
 def _partials(phi: DeformationField, start: int, stop: int) -> np.ndarray:
     """The nine partials at the axis-0 rows [start, stop), bit for bit those of
     the whole field: the axis-0 ones are taken over the rows and a one-row halo,
@@ -419,6 +414,17 @@ def _partials(phi: DeformationField, start: int, stop: int) -> np.ndarray:
     return d
 
 
+def _slabs(phi: DeformationField, halo: int):
+    """Axis-0 slabs of at least 8 rows, else about ``_TILE`` samples: yields each slab's
+    rows, its window (plus ``halo`` rows each side, clipped) and the window's partials."""
+    nx, ny, nz = phi.dims
+    height = max(8, _TILE // (ny * nz))
+    for start in range(0, nx, height):
+        stop = min(start + height, nx)
+        lo, hi = max(start - halo, 0), min(stop + halo, nx)
+        yield slice(start, stop), slice(lo, hi), _partials(phi, lo, hi)
+
+
 def _cofactor(d: np.ndarray, a: int, b: int) -> np.ndarray:
     """Cofactor C[a, b] = d det / d d[a, b] of per-voxel 3x3 matrices, indices mod 3."""
     a1, a2, b1, b2 = (a + 1) % 3, (a + 2) % 3, (b + 1) % 3, (b + 2) % 3
@@ -432,13 +438,10 @@ def det3x3(d: np.ndarray) -> np.ndarray:
 
 
 def jacobian_det_values(phi: DeformationField) -> np.ndarray:
-    """``det3x3(jacobian_matrix(phi))`` bit for bit, shape (nx, ny, nz), in axis-0
-    slabs of about ``_TILE`` samples, so no (3, 3, N) matrix is built."""
-    nx, ny, nz = phi.dims
-    rows = max(1, _TILE // (ny * nz))
+    """Determinant of the finite-difference Jacobian, shape (nx, ny, nz), slab by slab."""
     det = np.empty(phi.dims)
-    for i in range(0, nx, rows):
-        det[i:i + rows] = det3x3(_partials(phi, i, min(i + rows, nx)))
+    for rows, _, d in _slabs(phi, 0):
+        det[rows] = det3x3(d)
     return det
 
 
@@ -447,13 +450,17 @@ def jacobian_det(phi: DeformationField) -> Volume:
     return Volume(jacobian_det_values(phi)[np.newaxis], dtype="f32")
 
 
-def det_vjp(d: np.ndarray, upstream_det: np.ndarray) -> np.ndarray:
-    """Backpropagate a per-voxel determinant gradient through the Jacobian
-    matrix ``d`` (from ``jacobian_matrix``) to the field coordinates."""
-    grad = np.zeros(d.shape[1:])
-    for a in range(3):
-        for b in range(3):
-            grad[a] += axis_gradient_adjoint(upstream_det * _cofactor(d, a, b), b)
+def det_vjp(phi: DeformationField, upstream_det: np.ndarray) -> np.ndarray:
+    """Backpropagate a per-voxel determinant gradient to the field coordinates in slabs;
+    a window's two edge rows take border terms along axis 0, so the halo is 2 rows."""
+    grad = np.zeros((3,) + phi.dims)
+    for rows, window, d in _slabs(phi, 2):
+        own = slice(rows.start - window.start, rows.stop - window.start)
+        upstream, inner = upstream_det[window], d[:, :, own]
+        for a in range(3):
+            grad[a, rows] += axis_gradient_adjoint(upstream * _cofactor(d, a, 0), 0)[own]
+            for b in (1, 2):  # no halo along axes 1 and 2
+                grad[a, rows] += axis_gradient_adjoint(upstream[own] * _cofactor(inner, a, b), b)
     return grad
 
 

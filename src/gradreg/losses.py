@@ -92,7 +92,7 @@ def loss_jac(phi: DeformationField):
 
     Subgradient at a zero determinant is zero; gradients propagate through the
     finite-difference determinant stencil.  The pullback keeps only the
-    folded-voxel mask and rebuilds the Jacobian matrix; it is None when the
+    folded-voxel mask and runs ``deform.det_vjp`` on it; it is None when the
     field does not fold, as its cotangent is then zero.
     """
     n = float(np.prod(phi.dims))
@@ -101,8 +101,7 @@ def loss_jac(phi: DeformationField):
     mask = det < 0.0
     if not mask.any():
         return value, None
-    return value, lambda: deform.det_vjp(deform.jacobian_matrix(phi),
-                                         np.where(mask, -1.0 / n, 0.0))
+    return value, lambda: deform.det_vjp(phi, np.where(mask, -1.0 / n, 0.0))
 
 
 def loss_inv(composed: np.ndarray, interior_margin: int = 0):

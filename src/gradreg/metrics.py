@@ -89,7 +89,11 @@ def hd95(a: LabelVolume, b: LabelVolume, label: int, spacing_mm) -> float:
 
 def sdlogj(phi: DeformationField) -> float:
     """Population std of log determinant (floored at 1e-9) over all voxels."""
-    det = deform.jacobian_det(phi).data[0]
+    return sdlogj_from_det(deform.jacobian_det_values(phi))
+
+
+def sdlogj_from_det(det: np.ndarray) -> float:
+    """``sdlogj`` of determinant values that were already computed."""
     return float(np.std(np.log(np.maximum(det, LOG_DET_FLOOR))))
 
 

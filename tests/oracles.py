@@ -4,15 +4,33 @@ These deliberately avoid the library's vectorized code paths: scalar loops
 with explicit stencils for the determinant, all-pairs distances for surface
 metrics, exactly-rounded summation for aggregates.  The trilinear reference
 keeps the direct per-call formulas that the sample plan replaced, so plan
-results can be held bit-equal to them; the noise reference steps the phantom's
-LCG one state at a time in Python integers.
+results can be held bit-equal to them; the whole-field Jacobian matrix and its
+determinant adjoint are the forms that the library's slab-wise determinant and
+adjoint replaced, kept for the same reason; the noise reference steps the
+phantom's LCG one state at a time in Python integers.
 """
 
 import math
 
 import numpy as np
 
-from gradreg.deform import DeformationField
+from gradreg.deform import (DeformationField, _cofactor, axis_gradient,
+                            axis_gradient_adjoint)
+
+
+def jacobian_matrix(phi: DeformationField) -> np.ndarray:
+    """All nine partials d Phi_a / d axis_b over the whole field, (3, 3, nx, ny, nz)."""
+    return np.stack([[axis_gradient(f, b) for b in range(3)] for f in phi.values])
+
+
+def det_vjp_ref(d: np.ndarray, upstream_det: np.ndarray) -> np.ndarray:
+    """The whole-array determinant adjoint through the matrix ``d`` of
+    ``jacobian_matrix``, the reference for the slab-wise ``deform.det_vjp``."""
+    grad = np.zeros(d.shape[1:])
+    for a in range(3):
+        for b in range(3):
+            grad[a] += axis_gradient_adjoint(upstream_det * _cofactor(d, a, b), b)
+    return grad
 
 
 def jacobian_det_oracle(phi: DeformationField) -> np.ndarray:

@@ -168,6 +168,26 @@ def test_jacobian_identity(workdir, capsys):
     assert np.all(det.data == 1.0)
 
 
+def test_jacobian_sdlogj_takes_the_determinant_once(workdir, monkeypatch, capsys):
+    rng = np.random.default_rng(3)
+    phi = deform.DeformationField(identity_field(DIMS).values
+                                  + rng.normal(0.0, 0.2, (3,) + DIMS))
+    write_volume(field_to_volume(phi), workdir / "f")
+    calls = []
+    inner = deform.jacobian_det_values
+
+    def counted(field):
+        calls.append(field)
+        return inner(field)
+
+    monkeypatch.setattr(deform, "jacobian_det_values", counted)
+    assert run("jacobian", "--field", workdir / "f", "--out", workdir / "det", "--sdlogj") == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    field = deform.volume_to_field(read_volume(workdir / "f"))
+    assert capsys.readouterr().out.strip() == f"{gradreg.metrics.sdlogj(field):.6g}"
+
+
 def test_jacobian_scaling_interior(workdir, tmp_path):
     phi = deform.DeformationField(2.0 * identity_field(DIMS).values)
     write_volume(field_to_volume(phi), tmp_path / "double")

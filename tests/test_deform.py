@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,7 +20,6 @@ from gradreg.deform import (
     integrate,
     jacobian_det,
     jacobian_det_values,
-    jacobian_matrix,
     upsample,
     vjp_activate,
     vjp_integrate,
@@ -28,7 +29,7 @@ from gradreg.deform import (
     warp_labels,
 )
 from gradreg.volume import LabelVolume, Volume
-from oracles import jacobian_det_oracle
+from oracles import det_vjp_ref, jacobian_det_oracle, jacobian_matrix
 
 DIMS = (5, 5, 5)
 random_dims = st.tuples(st.integers(3, 7), st.integers(3, 7), st.integers(3, 7))
@@ -287,6 +288,37 @@ def test_slab_determinant_equals_the_whole_matrix_bit_for_bit():
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+def test_slab_det_vjp_equals_the_whole_matrix_adjoint_bit_for_bit():
+    rng = np.random.default_rng(17)
+    # 20 * 130 * 130 has more than _TILE samples per row and three 8-row slabs
+    for dims in ((48, 48, 48), (64, 64, 64), (3, 4, 5), (5, 3, 7), (29, 26, 23), (4, 9, 9),
+                 (3, 200, 100), (20, 130, 130)):
+        phi = random_field(rng, dims=dims, scale=0.8)
+        matrix = jacobian_matrix(phi)
+        det = det3x3(matrix)
+        assert (det < 0.0).any(), dims
+        # the hinge's kind of upstream, zero on most voxels, shows a -0.0 slip
+        sparse = np.where(det < np.quantile(det, 0.1), -1.0 / det.size, 0.0)
+        for upstream in (rng.standard_normal(dims), sparse):
+            got = det_vjp(phi, upstream)
+            want = det_vjp_ref(matrix, upstream)
+            assert got.shape == (3,) + dims
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), dims
+
+
+def test_det_vjp_peak_stays_below_the_whole_matrix():
+    dims = (64, 64, 64)
+    phi = random_field(np.random.default_rng(19), dims=dims, scale=0.8)
+    upstream = np.random.default_rng(20).standard_normal(dims)
+    tracemalloc.start()
+    try:
+        det_vjp(phi, upstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / np.prod(dims) < 72  # bytes per voxel of the (3, 3, N) matrix alone
+
+
 def test_jacobian_det_requires_three_voxels():
     with pytest.raises(ValueError, match="dims"):
         jacobian_det(identity_field((2, 4, 4)))
@@ -432,7 +464,7 @@ def test_jacobian_det_vjp_matches_fd(seed, dims):
     def f(vals):
         return float(np.sum(jacobian_det(DeformationField(vals)).data[0] * upstream))
 
-    analytic = float(np.sum(det_vjp(jacobian_matrix(phi), upstream) * direction))
+    analytic = float(np.sum(det_vjp(phi, upstream) * direction))
     fd = directional_fd(f, phi.values, direction)
     assert rel_err(analytic, fd) < 1e-6
 
