@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import deform, metrics, phantom
+from . import deform, engine, metrics, phantom
 from .engine import DivergenceError, RegistrationConfig, gradient_check, register_pair
 from .losses import LossBreakdown
 from .metrics import PairMetrics, evaluate_pair, write_metrics_csv
@@ -208,6 +208,11 @@ def _read_manifest(path) -> list[dict]:
     return pairs
 
 
+def _use_cores(cores: int) -> None:
+    """Pool-worker initializer: the worker's share of the cores, for its directions."""
+    engine.CORES = cores
+
+
 def _cmd_register(args) -> int:
     config = _load_config(args.config)  # validate before spawning work
     if args.inference_steps is not None and not 1 <= args.inference_steps <= config.steps:
@@ -229,7 +234,8 @@ def _cmd_register(args) -> int:
         import scipy.sparse  # noqa: F401
         import scipy.spatial  # noqa: F401
         import scipy.special  # noqa: F401
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_use_cores,
+                                 initargs=(max(1, engine.CORES // workers),)) as pool:
             results = list(pool.map(_run_pair, jobs))
     else:
         results = [_run_pair(job) for job in jobs]

@@ -16,16 +16,18 @@ All trilinear sampling at a deformation field runs through one kernel,
 of each sample's lowest corner (N,) intp, the eight constant flat corner
 offsets, fractional offsets (3, N) f64 and the inside-mask (3, N) bool, 35
 bytes per sample.  The corner weights are products of the fractional offsets
-and are not kept: the gather computes them per block, the scatter builds the
-(8, N) table for the length of its call.  Every pass runs over one contiguous
-(N,) channel plane at a time, and every field, gradient and warp is a
-C-contiguous stack of such planes.  The build, the gather and the coordinate
-adjoint walk the samples in cache-sized blocks; the value adjoint (scatter)
-adds each corner's weighted upstream into the output plane in place, eight
-corner passes per channel through scipy's sparse matrix-vector kernel, which
-only the backward pass imports.  A ``DeformationField`` builds its plan when
-first sampled at and keeps it for its lifetime, so every warp, composition
-and adjoint at that field shares it; ``values`` must not change afterwards.
+and are not kept: the gather computes them per block for every channel, the
+scatter one corner's row per block for every channel, so no (8, N) table is
+built.  Every pass runs over one contiguous (N,) channel plane at a time, and
+every field, gradient and warp is a C-contiguous stack of such planes.  The
+build, the gather, the coordinate adjoint and the scatter walk the samples in
+cache-sized blocks; the value adjoint (scatter) adds each corner's weighted
+upstream into each channel's output plane in place, in the order of one
+corner-major pass over all samples, through scipy's sparse matrix-vector
+kernel, which only the backward pass imports.  A ``DeformationField`` builds
+its plan when first sampled at and keeps it for its lifetime, so every warp,
+composition and adjoint at that field shares it; ``values`` must not change
+afterwards.
 ``sample`` gathers every source sampled at one field in one pass, and
 ``vjp_sample`` is the whole adjoint there in one sweep.  ``upsample`` uses no
 plan: it runs one two-tap hat-weight pass per axis.
@@ -150,7 +152,8 @@ class SamplePlan:
     An axis with one voxel has offset 0, so its upper corner repeats the lower.
     The build, ``gather`` and ``coords_grad`` walk the samples in blocks of
     ``_TILE``, each block through every corner and channel before the next;
-    every sample gets the same operations in the same order at any block size.
+    ``scatter`` walks each corner through every block and channel in turn.
+    Every sample gets the same operations in the same order at any block size.
     """
 
     def __init__(self, coords, dims):
@@ -207,25 +210,33 @@ class SamplePlan:
     def scatter(self, upstream) -> np.ndarray:
         """Adjoint of ``gather`` w.r.t. the values: C channels -> (C, *dims).
 
-        Eight passes per channel, in corner order, each adding weight times
-        upstream into its corner of one shared zeroed plane in sample order:
-        the order of a single corner-major ``bincount``, with no 8N index."""
+        Corner by corner, block by block, one weight row serves every channel:
+        it adds weight times upstream into the corner of the channel's own
+        zeroed plane in sample order.  Each voxel of a plane thus gets its adds
+        in the order of a single corner-major ``bincount``, with no 8N index
+        and no (8, N) weight table."""
         from scipy.sparse import _sparsetools  # loaded by the backward pass only
         n, size = self.base.size, math.prod(self.dims)
-        columns = np.arange(n + 1, dtype=np.intp)  # one sample per CSC column
-        weights = np.empty((8, n))  # the whole table, for this call only
-        for s in _blocks(n):
-            self._weights(s, weights[:, s])
-        out = np.zeros((len(upstream), size))
-        for acc, up in zip(out, upstream):
-            up = np.asarray(up, dtype=np.float64).ravel()
+        ups = [np.asarray(up, dtype=np.float64).ravel() for up in upstream]
+        for up in ups:
             if up.size != n:  # the kernel reads n values unchecked
                 raise ValueError(f"upstream channel has {up.size} samples, the plan {n}")
-            for offset, weight in zip(self.offsets, weights):
-                # acc[offset + base[j]] += weight[j] * up[j] for j = 0, 1, ...
-                _sparsetools.csc_matvec(size - offset, n, columns, self.base, weight, up,
-                                        acc[offset:])
-        return out.reshape((len(upstream),) + self.dims)
+        out = np.zeros((len(ups), size))
+        tile = min(n, _TILE)
+        columns = np.arange(tile + 1, dtype=np.intp)  # one sample per CSC column
+        row = np.empty(tile)
+        for k, offset in enumerate(self.offsets):
+            for s in _blocks(n):
+                m = s.stop - s.start
+                fx, fy, fz = self.frac[:, s]
+                weight = np.multiply(fx if k >> 2 else 1.0 - fx,
+                                     fy if (k >> 1) & 1 else 1.0 - fy, out=row[:m])
+                weight *= fz if k & 1 else 1.0 - fz
+                for acc, up in zip(out, ups):
+                    # acc[offset + base[j]] += weight[j] * up[j] for j in block s
+                    _sparsetools.csc_matvec(size - offset, m, columns, self.base[s], weight,
+                                            up[s], acc[offset:])
+        return out.reshape((len(ups),) + self.dims)
 
     def coords_grad(self, values, upstream) -> np.ndarray:
         """Adjoint of ``gather`` w.r.t. the coordinates, zero where clamped.  The

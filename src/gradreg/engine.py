@@ -18,12 +18,19 @@ step and direction, including the finite-difference determinant path of the
 Jacobian penalty and the composition path of the inverse-consistency penalty.
 Each step field gets one adjoint sweep over everything sampled at it, and all
 of it is double precision and bit-deterministic for fixed inputs and config.
+The two directions of a step share little, so with a second core each stage
+runs them side by side, direction 1 on a thread of its own; the bits do not
+depend on the core count.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import math
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 
@@ -31,7 +38,7 @@ import numpy as np
 
 from . import deform
 from .deform import DeformationField, PreActivationField
-from .losses import LossBreakdown, LossWeights, loss_total
+from .losses import LossBreakdown, LossWeights, direction_terms, sum_directions
 from .volume import LabelVolume, Volume, one_hot, read_keys
 
 
@@ -45,6 +52,62 @@ class DivergenceError(RuntimeError):
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+
+# Cores this process may run on; a ``gradreg register --jobs`` worker gets its share.
+CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+# Smaller fields run their directions on one thread: their numpy calls are too
+# short to leave the interpreter lock to the other thread for long, and two
+# threads took longer (on 2 cores, steps=2: 1.15x at 20^3, 0.9x from 24^3 on).
+THREAD_MIN_VOXELS = 16384
+
+
+@functools.cache
+def _one_malloc_arena() -> None:
+    """Have glibc's malloc serve every thread from its main arena.
+
+    A thread that starts before the last one has handed back its arena gets
+    a new one, and each arena keeps the freed arrays it served: phantom48-s2
+    then stepped up by 14-18 MB of RSS at a random round (2 of 4 runs of 25
+    rounds; none in one arena, nor on one thread).  Elsewhere this is a no-op.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-8, 1)  # M_ARENA_MAX
+
+
+def _both(fn: Callable, voxels: int):
+    """``(fn(0), fn(1))``, for fields of ``voxels`` voxels; direction 1 runs on a
+    second thread if there is a second core and the fields are large enough.
+
+    The thread lives for this call only (a forked process inherits no pool)
+    and is always joined; an error of either direction is raised here.  The
+    two directions share no mutable state, so the results do not depend on
+    the core count.
+    """
+    if CORES < 2 or voxels < THREAD_MIN_VOXELS:
+        return fn(0), fn(1)
+    _one_malloc_arena()
+    out, errors = [None, None], []
+
+    def second():
+        try:
+            out[1] = fn(1)
+        except BaseException as e:  # noqa: BLE001 - raised again on the calling thread
+            errors.append(e)
+
+    thread = threading.Thread(target=second)
+    thread.start()
+    try:
+        out[0] = fn(0)
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out[0], out[1]
 
 
 @dataclass(frozen=True)
@@ -152,6 +215,22 @@ class RegistrationResult:
     converged: bool
 
 
+def _direction_fields(x: PreActivationField, d: int):
+    """Direction d's gradient field and deformation, from +x (A-to-B) or -x (B-to-A)."""
+    g = deform.activate(x if d == 0 else PreActivationField(-x.values, stride=1))
+    return g, deform.integrate(g)
+
+
+def _direction_loss(phis, d: int, volumes, targets, g):
+    """Direction d's warps of ``volumes`` (the image, then any one-hot labels) and
+    its five loss terms against ``targets``.  One gather at its field samples the
+    volumes and the other field, the outer map of its loss_inv composition."""
+    *outs, composed = deform.sample(phis[d], [v.data for v in volumes] + [phis[1 - d].values])
+    warped = tuple(replace(v, data=out) for v, out in zip(volumes, outs))
+    (warp, *seg_warp), (target, *seg_target) = warped, targets
+    return warped, direction_terms(warp, target, g, phis[d], composed, *seg_warp, *seg_target)
+
+
 def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
                       weights: LossWeights, segs=None) -> MultistepForward:
     """Run every refinement step; each re-warps the previous step's output.
@@ -163,41 +242,40 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
     field, the outer map of its loss_inv composition.  The loss applies to
     every step's warped volumes against the original targets and the step
     totals add up.  Each step keeps its fields and the sequential warps that
-    its loss saw.
+    its loss saw.  The two directions of a step run side by side (``_both``):
+    first their fields, then their warps and loss terms.
     """
     if not deltas:
         raise ValueError("at least one parameter field is required")
     _check_pair(a, b, segs)
-    seg_targets = None if segs is None else segs[::-1]
+    volumes = [(a,), (b,)] if segs is None else list(zip((a, b), segs))
+    targets = [(b,), (a,)] if segs is None else list(zip((b, a), segs[::-1]))
     steps: list[StepForward] = []
-    warps, seg_warps = (a, b), segs
+    voxels = math.prod(a.dims)
     for delta in deltas:
         x = deform.upsample(delta, a.dims)
-        gs = tuple(map(deform.activate, (x, PreActivationField(-x.values, stride=1))))
-        phis = tuple(map(deform.integrate, gs))
-        inputs = list(zip(warps) if segs is None else zip(warps, seg_warps))
-        sampled = [deform.sample(phi, [v.data for v in volumes] + [other.values])
-                   for phi, volumes, other in zip(phis, inputs, phis[::-1])]
-        composed = tuple(out.pop() for out in sampled)
-        warps, *labelled = zip(*[[replace(v, data=out) for v, out in zip(volumes, outs)]
-                                 for volumes, outs in zip(inputs, sampled)])
-        seg_warps = labelled[0] if labelled else None
-        breakdown, pullbacks = loss_total(warps, (b, a), gs, phis, composed, weights,
-                                          seg_warps, seg_targets)
-        steps.append(StepForward(x, phis, warps, seg_warps, breakdown, pullbacks))
+        gs, phis = zip(*_both(lambda d: _direction_fields(x, d), voxels))
+        volumes, terms = zip(*_both(
+            lambda d: _direction_loss(phis, d, volumes[d], targets[d], gs[d]), voxels))
+        breakdown, pullbacks = sum_directions(terms, weights)
+        warps, *labelled = zip(*volumes)
+        steps.append(StepForward(x, phis, warps, labelled[0] if labelled else None,
+                                 breakdown, pullbacks))
     breakdown = LossBreakdown(*(sum(getattr(s.breakdown, f.name) for s in steps)
                                 for f in fields(LossBreakdown)))
     return MultistepForward(steps, breakdown)
 
 
-def _cotangents(pullbacks: list[tuple[float, int, str, Callable]]):
-    """Run each pullback once, releasing it and what it kept as it goes; per
-    direction, the weighted cotangent of each input a weighted term reaches.
-    Only one term differentiates each input, so nothing is merged."""
-    cot: tuple[dict[str, np.ndarray], dict[str, np.ndarray]] = ({}, {})
+def _cotangents(pullbacks: list[tuple[float, int, str, Callable]]) -> dict[str, np.ndarray]:
+    """Run each of one direction's pullbacks once, releasing it and what it kept
+    as it goes; the weighted cotangent of each input a weighted term reaches,
+    scaled in place.  Only one term differentiates each input, so nothing is
+    merged."""
+    cot: dict[str, np.ndarray] = {}
     while pullbacks:
-        w, d, key, pullback = pullbacks.pop(0)
-        cot[d][key] = w * pullback()
+        w, _, key, pullback = pullbacks.pop(0)
+        cot[key] = pullback()
+        cot[key] *= w
     return cot
 
 
@@ -208,47 +286,64 @@ def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
     Direction d's field sampled, in one gather and in this order, the warped
     image, the warped one-hot labels and the other field, as the outer map of
     its loss_inv composition; one sweep at the field carries all of their
-    cotangents.
+    cotangents.  The two directions run side by side (``_both``) twice per
+    step: their cotangents and sweeps, then, as each needs the value gradient
+    of the other's composition, the chain back through integrate and activate.
     """
     carry: list[dict[str, np.ndarray]] = [{}, {}]
     grads: list[np.ndarray | None] = [None] * len(steps)
+    voxels = math.prod(a.dims)
     for k in range(len(steps) - 1, -1, -1):
         step = steps[k]
-        cot = _cotangents(step.pullbacks)
+        pullbacks = [[p for p in step.pullbacks if p[1] == d] for d in (0, 1)]
+        step.pullbacks.clear()
         # what this step warped; its value gradients only matter if an earlier step made it
         images, labels = ((a, b), segs) if k == 0 else (steps[k - 1].warps,
                                                         steps[k - 1].seg_warps)
-        gphi, outer = [], []
-        for d in (0, 1):
+
+        def sweep(d: int):
+            """Direction d's cotangents, the coordinate gradient at its field, and
+            the value gradients of the other field and of what it warped."""
+            cot = _cotangents(pullbacks[d])
             for key, g in carry[d].items():
-                cot[d][key] += g
+                cot[key] += g
             sources = {"warp": images[d].data, "compose": step.phis[1 - d].values}
             if labels is not None:
                 sources["seg_warp"] = labels[d].data
-            used = [key for key in ("warp", "seg_warp", "compose") if key in cot[d]]
-            g, values = deform.vjp_sample(step.phis[d], [sources[key] for key in used],
-                                          [cot[d].pop(key) for key in used],
-                                          [k > 0 or key == "compose" for key in used])
+            used = [key for key in ("warp", "seg_warp", "compose") if key in cot]
+            gphi, values = deform.vjp_sample(step.phis[d], [sources[key] for key in used],
+                                             [cot.pop(key) for key in used],
+                                             [k > 0 or key == "compose" for key in used])
             values = dict(zip(used, values))
-            outer.append(values.pop("compose", None))
+            outer = values.pop("compose", None)
             carry[d] = {key: v for key, v in values.items() if v is not None}
-            gphi.append(g)
+            return gphi, outer, cot
 
-        gg = []
-        for d, phi in enumerate(step.phis):
-            phi.drop_plan()  # nothing samples at this step's fields again
+        def chain(d: int) -> np.ndarray:
+            """Direction d's coordinate gradient back to the upsampled field.  It
+            takes what it adds out of the lists, so each array goes once added;
+            only thread d takes ``gphis[d]``, ``cots[d]`` and ``outers[1 - d]``,
+            the other composition's value gradient."""
+            gphi, cot, outer = gphis[d], cots[d], outers[1 - d]
+            gphis[d] = cots[d] = outers[1 - d] = None
+            step.phis[d].drop_plan()  # nothing samples at this step's fields again
             # the other composition's value gradient, then the Jacobian-hinge cotangent
-            for extra in (outer[1 - d], cot[d].get("phi")):
-                if extra is not None:
-                    gphi[d] += extra
-            gg.append(deform.vjp_integrate(gphi[d]))
-            if "g" in cot[d]:
-                gg[d] += cot[d]["g"]
+            if outer is not None:
+                gphi += outer
+            del outer
+            if "phi" in cot:
+                gphi += cot.pop("phi")
+            gg = deform.vjp_integrate(gphi)
+            del gphi
+            if "g" in cot:
+                gg += cot.pop("g")
+            return deform.vjp_activate(step.x.values if d == 0 else -step.x.values, gg)
 
-        x_full = step.x.values
-        gx = deform.vjp_activate(x_full, gg[0])
-        gx -= deform.vjp_activate(-x_full, gg[1])
+        gphis, outers, cots = map(list, zip(*_both(sweep, voxels)))
+        gx, gx_ba = _both(chain, voxels)
+        gx -= gx_ba
         grads[k] = deform.vjp_upsample(gx, deltas[k].stride, deltas[k].control_dims)
+        del pullbacks, gx, gx_ba  # nothing of this step reaches the next one
     return grads
 
 

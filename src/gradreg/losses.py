@@ -1,11 +1,13 @@
 """The five registration loss terms and their weighted combination.
 
 Each term scores one warp direction, normalized to a per-element mean so the
-weights are resolution independent; ``loss_total`` sums it over both
-directions.  A term computes its value and returns it with a pullback, a
-function of no arguments giving the exact cotangent w.r.t. the term's one
-differentiated input; only the backward pass runs it, and ``loss_total``
-returns the weighted ones beside a plain ``LossBreakdown``.  The terms take
+weights are resolution independent.  A term computes its value and returns it
+with a pullback, a function of no arguments giving the exact cotangent w.r.t.
+the term's one differentiated input.  Only the backward pass runs a pullback,
+and only once, as it may form the cotangent in the array it kept.
+``direction_terms`` evaluates one direction's five terms; ``sum_directions``
+sums each over the two directions into a plain ``LossBreakdown`` and lists
+the weighted pullbacks beside it; ``loss_total`` does both.  The terms take
 values the forward pass has already sampled: the inverse-consistency term
 takes a composition's coordinates and forms its residual in them.  All terms
 are nonnegative and exactly zero on the all-identity configuration.
@@ -14,7 +16,7 @@ are nonnegative and exactly zero on the all-identity configuration.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -57,13 +59,17 @@ class LossBreakdown:
         return asdict(self)
 
 
+# the input each term differentiates, in term order
+_INPUTS = ("warp", "seg_warp", "g", "phi", "compose")
+
+
 def loss_sim(warped: Volume, target: Volume):
     """Mean squared intensity error of a warped volume against its target."""
     if warped.data.shape != target.data.shape:
         raise ValueError(f"similarity inputs must share one shape, got "
                          f"{warped.data.shape} and {target.data.shape}")
     d = warped.data - target.data
-    return float(np.mean(d * d)), lambda: (2.0 / d.size) * d
+    return float(np.mean(d * d)), lambda: np.multiply(d, 2.0 / d.size, out=d)
 
 
 def loss_seg(seg_warped: Volume, seg_target: Volume):
@@ -84,7 +90,7 @@ def loss_seg(seg_warped: Volume, seg_target: Volume):
 def loss_reg(g: GradientField):
     """Mean squared deviation of the predicted gradients from identity spacing."""
     d = g.values - 1.0
-    return float(np.mean(d * d)), lambda: (2.0 / d.size) * d
+    return float(np.mean(d * d)), lambda: np.multiply(d, 2.0 / d.size, out=d)
 
 
 def loss_jac(phi: DeformationField):
@@ -134,28 +140,29 @@ def loss_inv(composed: np.ndarray, interior_margin: int = 0):
     return value, lambda: resid
 
 
-def loss_total(warps, targets, gs, phis, composed, weights: LossWeights, seg_warps=None,
-               seg_targets=None) -> tuple[LossBreakdown, list[tuple[float, int, str, Callable]]]:
-    """Weighted five-term loss of a pair of directions, and the pullback of
-    every direction of every term with a nonzero weight.
+def direction_terms(warp, target, g, phi, composed, seg_warp=None, seg_target=None):
+    """One direction's five ``(value, pullback)`` pairs, in term order.
 
-    Every argument but the weights is a pair in direction order (A-to-B,
-    B-to-A); ``phis`` serve the Jacobian term, and ``composed`` holds direction
-    d's composition of the other field with its own, which ``loss_inv``
-    consumes.  Each term's value is the sum of its two directions.
-    A pullback comes as ``(weight, direction, input, pullback)``, its input one
-    of ``warp``, ``seg_warp``, ``g``, ``phi`` and ``compose``.  Omitting the
-    segmentation inputs forces the beta term to zero (unsupervised mode).
+    ``composed`` holds this direction's composition of the other field with
+    ``phi``, which ``loss_inv`` consumes.  Omitting the segmentation inputs
+    forces the dice term to zero (unsupervised mode).
     """
-    if (seg_warps is None) != (seg_targets is None):
-        raise ValueError("segmentation inputs must be given all together or not at all")
-    terms = [(weights.alpha, "warp", [loss_sim(v, t) for v, t in zip(warps, targets)]),
-             (weights.beta, "seg_warp", [(0.0, None)] * 2 if seg_warps is None
-              else [loss_seg(p, q) for p, q in zip(seg_warps, seg_targets)]),
-             (weights.gamma, "g", [loss_reg(g) for g in gs]),
-             (weights.delta, "phi", [loss_jac(phi) for phi in phis]),
-             (weights.epsilon, "compose", [loss_inv(c) for c in composed])]
-    sim, seg, reg, jac, inv = (ab + ba for _, _, ((ab, _), (ba, _)) in terms)
+    return [loss_sim(warp, target),
+            (0.0, None) if seg_warp is None else loss_seg(seg_warp, seg_target),
+            loss_reg(g), loss_jac(phi), loss_inv(composed)]
+
+
+def sum_directions(terms, weights: LossWeights
+                   ) -> tuple[LossBreakdown, list[tuple[float, int, str, Callable]]]:
+    """The weighted loss of both directions' ``direction_terms``, and the pullback
+    of every direction of every term with a nonzero weight.
+
+    Each term's value is the sum of its two directions, A-to-B first.  A
+    pullback comes as ``(weight, direction, input, pullback)``, its input one
+    of ``warp``, ``seg_warp``, ``g``, ``phi`` and ``compose``; the list runs
+    term by term, each term's directions in order.
+    """
+    sim, seg, reg, jac, inv = (ab + ba for (ab, _), (ba, _) in zip(*terms))
     total = (
         weights.alpha * sim
         + weights.beta * seg
@@ -163,6 +170,23 @@ def loss_total(warps, targets, gs, phis, composed, weights: LossWeights, seg_war
         + weights.delta * jac
         + weights.epsilon * inv
     )
-    pullbacks = [(w, d, key, pb) for w, key, pair in terms for d, (_, pb) in enumerate(pair)
-                 if w != 0.0 and pb is not None]
+    pullbacks = [(w, d, key, pb) for w, key, *pair in zip(astuple(weights), _INPUTS, *terms)
+                 for d, (_, pb) in enumerate(pair) if w != 0.0 and pb is not None]
     return LossBreakdown(sim, seg, reg, jac, inv, total), pullbacks
+
+
+def loss_total(warps, targets, gs, phis, composed, weights: LossWeights, seg_warps=None,
+               seg_targets=None) -> tuple[LossBreakdown, list[tuple[float, int, str, Callable]]]:
+    """Weighted five-term loss of a pair of directions, and the pullback of
+    every direction of every term with a nonzero weight (see ``sum_directions``).
+
+    Every argument but the weights is a pair in direction order (A-to-B,
+    B-to-A); ``phis`` serve the Jacobian term, and ``composed`` holds direction
+    d's composition of the other field with its own, which ``loss_inv``
+    consumes.  Omitting the segmentation inputs forces the beta term to zero.
+    """
+    if (seg_warps is None) != (seg_targets is None):
+        raise ValueError("segmentation inputs must be given all together or not at all")
+    segs = [(None, None)] * 2 if seg_warps is None else list(zip(seg_warps, seg_targets))
+    return sum_directions([direction_terms(*args, *seg) for args, seg
+                           in zip(zip(warps, targets, gs, phis, composed), segs)], weights)

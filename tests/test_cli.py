@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import gradreg
-from gradreg import deform
+from gradreg import deform, engine
 from gradreg.cli import main
 from gradreg.deform import field_to_volume, identity_field
 from gradreg.volume import LabelVolume, Volume, read_volume, write_volume
@@ -42,14 +43,21 @@ def run(*argv):
 # parser surface
 
 
-def run_probe(code: str) -> str:
-    """What a fresh interpreter running ``code`` with this gradreg prints."""
+def run_probe(code: str, timeout: float | None = None) -> str:
+    """What a fresh interpreter running ``code`` with this gradreg prints; past
+    ``timeout`` seconds it is killed with every process it started."""
     src = str(Path(gradreg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    return done.stdout.strip()
+    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    assert proc.returncode == 0, err
+    return out.strip()
 
 
 def test_cli_import_leaves_scipy_modules_unloaded():
@@ -354,6 +362,53 @@ def test_register_batch_jobs_bit_identical(workdir):
             one = (workdir / f"jobs1_p{i}" / name).read_bytes()
             four = (workdir / f"jobs4_p{i}" / name).read_bytes()
             assert one == four, f"{name} differs between --jobs 1 and 4"
+
+
+def test_register_batch_forks_safely_after_two_core_registrations(workdir):
+    """A process that ran both directions on two threads forks its ``--jobs 2``
+    workers, each with half of its four cores and so two threads of its own;
+    the batch finishes with the outputs of ``--jobs 1``."""
+    dims = (26, 26, 26)  # above engine.THREAD_MIN_VOXELS
+    assert np.prod(dims) >= engine.THREAD_MIN_VOXELS
+    rng = np.random.default_rng(4)
+    for name in ("img", "other"):
+        write_volume(Volume(rng.uniform(0, 1, (1,) + dims).astype(np.float32)), workdir / name)
+    write_volume(LabelVolume(rng.integers(0, 3, dims)), workdir / "labels")
+    (workdir / "config.json").write_text(json.dumps(dict(TINY_CONFIG, steps=2)))
+    for tag in ("serial", "forked"):
+        (workdir / f"{tag}.json").write_text(json.dumps([
+            {"pair_id": f"p{i}", "fixed": str(workdir / fixed), "moving": str(workdir / moving),
+             "fixed_labels": str(workdir / "labels"), "moving_labels": str(workdir / "labels"),
+             "out_dir": str(workdir / f"{tag}_p{i}")}
+            for i, (fixed, moving) in enumerate([("img", "other"), ("other", "img")])]))
+    assert run("--quiet", "--jobs", "1", "register", "--pairs", workdir / "serial.json",
+               "--config", workdir / "config.json") == 0
+    probe = f"""
+import threading
+from gradreg import cli, engine
+from gradreg.engine import RegistrationConfig
+from gradreg.volume import read_volume
+engine.CORES = 4
+a, b = (read_volume({str(workdir)!r} + name) for name in ("/img", "/other"))
+threads = threading.active_count()
+engine.register_pair(a, b, RegistrationConfig(steps=2, iterations=2, control_stride=2))
+assert threading.active_count() == threads
+run_pair = cli._run_pair
+def reporting(job):
+    code, line = run_pair(job)
+    return code, f"{{line}} cores={{engine.CORES}}"
+cli._run_pair = reporting
+raise SystemExit(cli.main(["--jobs", "2", "register", "--pairs", {str(workdir / "forked.json")!r},
+                           "--config", {str(workdir / "config.json")!r}]))
+"""
+    printed = run_probe(probe, timeout=120).splitlines()
+    assert [line.rsplit(" ", 1)[1] for line in printed] == ["cores=2", "cores=2"]
+    for i in range(2):
+        for name in ("phi_moving_to_fixed.raw", "phi_fixed_to_moving.raw", "warped_moving.raw",
+                     "warped_fixed.raw", "metrics.csv", "loss_trace.csv"):
+            serial = (workdir / f"serial_p{i}" / name).read_bytes()
+            forked = (workdir / f"forked_p{i}" / name).read_bytes()
+            assert serial == forked, f"{name} differs between --jobs 1 and 2"
 
 
 def batch_entry(workdir, name):

@@ -1,5 +1,7 @@
 """The trilinear sample plan: adjoint identities, exactness, reuse."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -203,6 +205,21 @@ def test_scatter_rejects_an_upstream_of_another_size():
     plan = SamplePlan(np.indices(dims) + 0.3, dims)
     with pytest.raises(ValueError, match="samples"):
         plan.scatter(np.ones((1, 3)))
+
+
+def test_scatter_peak_is_its_output_plus_block_rows():
+    """No (8, N) weight table: that alone is 64 B per sample."""
+    dims = (64, 64, 64)
+    rng = np.random.default_rng(21)
+    plan = random_field(rng, dims).plan
+    upstream = rng.standard_normal((3,) + dims)
+    tracemalloc.start()
+    try:
+        out = plan.scatter(upstream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - out.nbytes) / upstream[0].size < 16
 
 
 def test_one_plan_per_field(monkeypatch):
