@@ -503,13 +503,16 @@ def vjp_sample(phi: DeformationField, sources, upstreams, scatter):
     """Adjoint of sampling every source at ``phi``, in one sweep of its plan.
 
     ``sources`` are the (C, *dims) arrays sampled there (warped volumes, the
-    outer field of a composition), ``upstreams`` their cotangents.  Returns the
-    coordinate gradient, one pass over all their channels, and from one scatter
-    the value gradient of each source whose ``scatter`` flag is set, else None.
+    outer field of a composition), ``upstreams`` their cotangents; a None
+    upstream means that source has none.  Returns the coordinate gradient, one
+    pass over the channels of every source with a cotangent, and from one
+    scatter the value gradient of each such source whose ``scatter`` flag is
+    set, else None.
     """
     plan = phi.plan
-    coords = plan.coords_grad([c for s in sources for c in s],
-                              [c for u in upstreams for c in u])
+    used = [(s, u) for s, u in zip(sources, upstreams) if u is not None]
+    coords = plan.coords_grad([c for s, _ in used for c in s], [c for _, u in used for c in u])
+    scatter = [s and u is not None for u, s in zip(upstreams, scatter)]
     wanted = [u for u, s in zip(upstreams, scatter) if s]
     scattered = plan.scatter([c for u in wanted for c in u]) if wanted else None
     values, start = [], 0

@@ -32,7 +32,7 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -157,8 +157,12 @@ class StepForward:
     """One refinement step's fields, sequential warps and loss.
 
     ``phis``, ``warps`` and ``seg_warps`` (None without labels) are pairs in
-    direction order (A-to-B, B-to-A).  ``x`` (the upsampled parameter field)
-    and ``pullbacks``, as ``loss_total`` returns them, serve the backward pass.
+    direction order (A-to-B, B-to-A), as are the two that serve the backward
+    pass with ``x`` (the upsampled parameter field): ``terms``, each direction's
+    five ``(value, pullback)`` pairs from ``direction_terms`` (no pullback for a
+    term of weight 0), and ``sampled``, what each direction's field sampled in
+    its one gather, in order: the image, any one-hot labels, then the other
+    field's values.
     """
 
     x: PreActivationField
@@ -166,7 +170,8 @@ class StepForward:
     warps: tuple[Volume, Volume]
     seg_warps: tuple[Volume, Volume] | None
     breakdown: LossBreakdown
-    pullbacks: list[tuple[float, int, str, Callable]]
+    terms: tuple[list[tuple], list[tuple]]
+    sampled: tuple[list[np.ndarray], list[np.ndarray]]
 
 
 def _check_pair(a: Volume, b: Volume, segs) -> None:
@@ -221,14 +226,18 @@ def _direction_fields(x: PreActivationField, d: int):
     return g, deform.integrate(g)
 
 
-def _direction_loss(phis, d: int, volumes, targets, g):
-    """Direction d's warps of ``volumes`` (the image, then any one-hot labels) and
-    its five loss terms against ``targets``.  One gather at its field samples the
-    volumes and the other field, the outer map of its loss_inv composition."""
-    *outs, composed = deform.sample(phis[d], [v.data for v in volumes] + [phis[1 - d].values])
+def _direction_loss(phis, d: int, volumes, targets, g, weights: LossWeights):
+    """Direction d's warps of ``volumes`` (the image, then any one-hot labels),
+    what its field sampled and its five loss terms against ``targets``, the
+    pullback of a term of weight 0 dropped with what it kept.  One gather at its
+    field samples the volumes and the other field, the outer map of its loss_inv
+    composition."""
+    sampled = [v.data for v in volumes] + [phis[1 - d].values]
+    *outs, composed = deform.sample(phis[d], sampled)
     warped = tuple(replace(v, data=out) for v, out in zip(volumes, outs))
     (warp, *seg_warp), (target, *seg_target) = warped, targets
-    return warped, direction_terms(warp, target, g, phis[d], composed, *seg_warp, *seg_target)
+    terms = direction_terms(warp, target, g, phis[d], composed, *seg_warp, *seg_target)
+    return warped, sampled, [(v, pb if w else None) for w, (v, pb) in zip(astuple(weights), terms)]
 
 
 def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
@@ -255,95 +264,88 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
     for delta in deltas:
         x = deform.upsample(delta, a.dims)
         gs, phis = zip(*_both(lambda d: _direction_fields(x, d), voxels))
-        volumes, terms = zip(*_both(
-            lambda d: _direction_loss(phis, d, volumes[d], targets[d], gs[d]), voxels))
-        breakdown, pullbacks = sum_directions(terms, weights)
+        volumes, sampled, terms = zip(*_both(
+            lambda d: _direction_loss(phis, d, volumes[d], targets[d], gs[d], weights), voxels))
         warps, *labelled = zip(*volumes)
         steps.append(StepForward(x, phis, warps, labelled[0] if labelled else None,
-                                 breakdown, pullbacks))
+                                 sum_directions(terms, weights), terms, sampled))
     breakdown = LossBreakdown(*(sum(getattr(s.breakdown, f.name) for s in steps)
                                 for f in fields(LossBreakdown)))
     return MultistepForward(steps, breakdown)
 
 
-def _cotangents(pullbacks: list[tuple[float, int, str, Callable]]) -> dict[str, np.ndarray]:
-    """Run each of one direction's pullbacks once, releasing it and what it kept
-    as it goes; the weighted cotangent of each input a weighted term reaches,
-    scaled in place.  Only one term differentiates each input, so nothing is
-    merged."""
-    cot: dict[str, np.ndarray] = {}
-    while pullbacks:
-        w, _, key, pullback = pullbacks.pop(0)
-        cot[key] = pullback()
-        cot[key] *= w
-    return cot
+def _cotangents(terms: list[tuple], weights: LossWeights) -> list[np.ndarray | None]:
+    """The weighted cotangents of one direction's five terms, in term order (the
+    field order of ``LossWeights``); None where the term has no pullback, as it
+    has none where its weight is 0.  Each pullback runs once, scaled in place,
+    and is released as it goes with what it kept."""
+    cots = [None] * len(terms)
+    for i, w in enumerate(astuple(weights)):
+        _, pullback = terms.pop(0)
+        if pullback is not None:
+            cots[i] = pullback()
+            cots[i] *= w
+    return cots
 
 
-def _backward(steps: list[StepForward], a: Volume, b: Volume, segs,
-              deltas: list[PreActivationField]) -> list[np.ndarray]:
+def _backward(steps: list[StepForward], deltas: list[PreActivationField],
+              weights: LossWeights) -> list[np.ndarray]:
     """Reverse-mode chain through every step, back to each parameter field.
 
-    Direction d's field sampled, in one gather and in this order, the warped
-    image, the warped one-hot labels and the other field, as the outer map of
-    its loss_inv composition; one sweep at the field carries all of their
-    cotangents.  The two directions run side by side (``_both``) twice per
-    step: their cotangents and sweeps, then, as each needs the value gradient
-    of the other's composition, the chain back through integrate and activate.
+    One sweep at direction d's field carries the sim, seg and inv cotangents,
+    those of what it sampled (``step.sampled[d]``): the warped image, the warped
+    labels and the other field, the outer map of its loss_inv composition.  The
+    two directions run side by side (``_both``) twice per step: their
+    cotangents and sweeps, then, as each needs the value gradient of the
+    other's composition, the chain back through integrate and activate with the
+    reg and jac cotangents.
     """
-    carry: list[dict[str, np.ndarray]] = [{}, {}]
+    carry: list[list[np.ndarray | None]] = [[], []]
     grads: list[np.ndarray | None] = [None] * len(steps)
-    voxels = math.prod(a.dims)
+    voxels = math.prod(steps[0].phis[0].dims)
     for k in range(len(steps) - 1, -1, -1):
         step = steps[k]
-        pullbacks = [[p for p in step.pullbacks if p[1] == d] for d in (0, 1)]
-        step.pullbacks.clear()
-        # what this step warped; its value gradients only matter if an earlier step made it
-        images, labels = ((a, b), segs) if k == 0 else (steps[k - 1].warps,
-                                                        steps[k - 1].seg_warps)
 
         def sweep(d: int):
             """Direction d's cotangents, the coordinate gradient at its field, and
-            the value gradients of the other field and of what it warped."""
-            cot = _cotangents(pullbacks[d])
-            for key, g in carry[d].items():
-                cot[key] += g
-            sources = {"warp": images[d].data, "compose": step.phis[1 - d].values}
-            if labels is not None:
-                sources["seg_warp"] = labels[d].data
-            used = [key for key in ("warp", "seg_warp", "compose") if key in cot]
-            gphi, values = deform.vjp_sample(step.phis[d], [sources[key] for key in used],
-                                             [cot.pop(key) for key in used],
-                                             [k > 0 or key == "compose" for key in used])
-            values = dict(zip(used, values))
-            outer = values.pop("compose", None)
-            carry[d] = {key: v for key, v in values.items() if v is not None}
-            return gphi, outer, cot
+            the value gradients of the other field and of what it warped; the
+            latter only matter if an earlier step warped it."""
+            sim, seg, reg, jac, inv = _cotangents(step.terms[d], weights)
+            ups = [sim, inv] if step.seg_warps is None else [sim, seg, inv]
+            for up, g in zip(ups, carry[d]):
+                if up is not None:
+                    up += g
+            gphi, values = deform.vjp_sample(step.phis[d], step.sampled[d], ups,
+                                             [k > 0] * (len(ups) - 1) + [True])
+            *carry[d], outer = values
+            return gphi, outer, (reg, jac)
 
         def chain(d: int) -> np.ndarray:
             """Direction d's coordinate gradient back to the upsampled field.  It
             takes what it adds out of the lists, so each array goes once added;
             only thread d takes ``gphis[d]``, ``cots[d]`` and ``outers[1 - d]``,
             the other composition's value gradient."""
-            gphi, cot, outer = gphis[d], cots[d], outers[1 - d]
+            gphi, (reg, jac), outer = gphis[d], cots[d], outers[1 - d]
             gphis[d] = cots[d] = outers[1 - d] = None
             step.phis[d].drop_plan()  # nothing samples at this step's fields again
             # the other composition's value gradient, then the Jacobian-hinge cotangent
             if outer is not None:
                 gphi += outer
-            del outer
-            if "phi" in cot:
-                gphi += cot.pop("phi")
+            if jac is not None:
+                gphi += jac
+            del outer, jac
             gg = deform.vjp_integrate(gphi)
             del gphi
-            if "g" in cot:
-                gg += cot.pop("g")
+            if reg is not None:
+                gg += reg
+            del reg
             return deform.vjp_activate(step.x.values if d == 0 else -step.x.values, gg)
 
         gphis, outers, cots = map(list, zip(*_both(sweep, voxels)))
         gx, gx_ba = _both(chain, voxels)
         gx -= gx_ba
         grads[k] = deform.vjp_upsample(gx, deltas[k].stride, deltas[k].control_dims)
-        del pullbacks, gx, gx_ba  # nothing of this step reaches the next one
+        del gx, gx_ba  # nothing of this step reaches the next one
     return grads
 
 
@@ -351,7 +353,7 @@ def objective_and_gradient(a: Volume, b: Volume, deltas: list[PreActivationField
                            config: RegistrationConfig, segs=None):
     """Total multistep loss and its exact gradient w.r.t. every delta field."""
     run = multistep_forward(a, b, deltas, config.weights, segs=segs)
-    grads = _backward(run.steps, a, b, segs, deltas)
+    grads = _backward(run.steps, deltas, config.weights)
     return run.breakdown.total, grads
 
 
@@ -371,7 +373,7 @@ def _adam(a: Volume, b: Volume, config: RegistrationConfig,
         trace.append(run.breakdown)
         if not np.isfinite(run.breakdown.total):
             raise DivergenceError(f"objective became non-finite at iteration {t - 1}", trace)
-        grads = _backward(run.steps, a, b, segs, deltas)
+        grads = _backward(run.steps, deltas, config.weights)
         for k, g in enumerate(grads):
             m[k] = beta1 * m[k] + (1.0 - beta1) * g
             v[k] = beta2 * v[k] + (1.0 - beta2) * (g * g)
@@ -401,7 +403,7 @@ def _final_pass(a: Volume, b: Volume, deltas: list[PreActivationField],
     if not np.isfinite(run.breakdown.total):
         raise DivergenceError("objective became non-finite after the last update", trace)
     for step in run.steps:
-        step.pullbacks.clear()
+        step.terms = None
     phis = [_compose_steps([s.phis[d] for s in run.steps]) for d in (0, 1)]
     warps = (run.steps[0].warps if len(run.steps) == 1
              else tuple(map(deform.warp, (a, b), phis)))

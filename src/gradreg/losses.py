@@ -5,9 +5,10 @@ weights are resolution independent.  A term computes its value and returns it
 with a pullback, a function of no arguments giving the exact cotangent w.r.t.
 the term's one differentiated input.  Only the backward pass runs a pullback,
 and only once, as it may form the cotangent in the array it kept.
-``direction_terms`` evaluates one direction's five terms; ``sum_directions``
-sums each over the two directions into a plain ``LossBreakdown`` and lists
-the weighted pullbacks beside it; ``loss_total`` does both.  The terms take
+``direction_terms`` evaluates one direction's five terms, in the field order
+of ``LossWeights``; ``sum_directions`` sums each over the two directions
+into a plain ``LossBreakdown``; ``loss_total`` does both.  A term's place
+in that order says which input it differentiates.  The terms take
 values the forward pass has already sampled: the inverse-consistency term
 takes a composition's coordinates and forms its residual in them.  All terms
 are nonnegative and exactly zero on the all-identity configuration.
@@ -15,8 +16,7 @@ are nonnegative and exactly zero on the all-identity configuration.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,10 +57,6 @@ class LossBreakdown:
 
     def to_dict(self) -> dict[str, float]:
         return asdict(self)
-
-
-# the input each term differentiates, in term order
-_INPUTS = ("warp", "seg_warp", "g", "phi", "compose")
 
 
 def loss_sim(warped: Volume, target: Volume):
@@ -141,7 +137,9 @@ def loss_inv(composed: np.ndarray, interior_margin: int = 0):
 
 
 def direction_terms(warp, target, g, phi, composed, seg_warp=None, seg_target=None):
-    """One direction's five ``(value, pullback)`` pairs, in term order.
+    """One direction's five ``(value, pullback)`` pairs, in term order: sim,
+    seg, reg, jac and inv, which differentiate in turn ``warp``, ``seg_warp``,
+    ``g``, ``phi`` and ``composed``.
 
     ``composed`` holds this direction's composition of the other field with
     ``phi``, which ``loss_inv`` consumes.  Omitting the segmentation inputs
@@ -152,16 +150,9 @@ def direction_terms(warp, target, g, phi, composed, seg_warp=None, seg_target=No
             loss_reg(g), loss_jac(phi), loss_inv(composed)]
 
 
-def sum_directions(terms, weights: LossWeights
-                   ) -> tuple[LossBreakdown, list[tuple[float, int, str, Callable]]]:
-    """The weighted loss of both directions' ``direction_terms``, and the pullback
-    of every direction of every term with a nonzero weight.
-
-    Each term's value is the sum of its two directions, A-to-B first.  A
-    pullback comes as ``(weight, direction, input, pullback)``, its input one
-    of ``warp``, ``seg_warp``, ``g``, ``phi`` and ``compose``; the list runs
-    term by term, each term's directions in order.
-    """
+def sum_directions(terms, weights: LossWeights) -> LossBreakdown:
+    """The weighted loss of both directions' ``direction_terms``: each term's
+    value is the sum of its two directions, A-to-B first."""
     sim, seg, reg, jac, inv = (ab + ba for (ab, _), (ba, _) in zip(*terms))
     total = (
         weights.alpha * sim
@@ -170,15 +161,13 @@ def sum_directions(terms, weights: LossWeights
         + weights.delta * jac
         + weights.epsilon * inv
     )
-    pullbacks = [(w, d, key, pb) for w, key, *pair in zip(astuple(weights), _INPUTS, *terms)
-                 for d, (_, pb) in enumerate(pair) if w != 0.0 and pb is not None]
-    return LossBreakdown(sim, seg, reg, jac, inv, total), pullbacks
+    return LossBreakdown(sim, seg, reg, jac, inv, total)
 
 
 def loss_total(warps, targets, gs, phis, composed, weights: LossWeights, seg_warps=None,
-               seg_targets=None) -> tuple[LossBreakdown, list[tuple[float, int, str, Callable]]]:
-    """Weighted five-term loss of a pair of directions, and the pullback of
-    every direction of every term with a nonzero weight (see ``sum_directions``).
+               seg_targets=None) -> tuple[LossBreakdown, list[list[tuple]]]:
+    """Weighted five-term loss of a pair of directions, and the pair of their
+    ``direction_terms`` lists.
 
     Every argument but the weights is a pair in direction order (A-to-B,
     B-to-A); ``phis`` serve the Jacobian term, and ``composed`` holds direction
@@ -188,5 +177,6 @@ def loss_total(warps, targets, gs, phis, composed, weights: LossWeights, seg_war
     if (seg_warps is None) != (seg_targets is None):
         raise ValueError("segmentation inputs must be given all together or not at all")
     segs = [(None, None)] * 2 if seg_warps is None else list(zip(seg_warps, seg_targets))
-    return sum_directions([direction_terms(*args, *seg) for args, seg
-                           in zip(zip(warps, targets, gs, phis, composed), segs)], weights)
+    terms = [direction_terms(*args, *seg) for args, seg
+             in zip(zip(warps, targets, gs, phis, composed), segs)]
+    return sum_directions(terms, weights), terms

@@ -271,11 +271,12 @@ def write_volume(v: Volume | LabelVolume, path) -> None:
         layout = (v.dims, 1, v.spacing_mm, "u16")
         payload = np.ascontiguousarray(v.labels.T, dtype="<u2")
     elif isinstance(v, Volume):
-        if not np.all(np.isfinite(v.data)):
-            raise ValueError("refusing to write non-finite volume data")
         layout = (v.dims, v.channels, v.spacing_mm, v.dtype)
-        payload = np.ascontiguousarray(v.data.transpose(0, 3, 2, 1),
-                                       dtype=PAYLOAD_DTYPES[v.dtype])
+        with np.errstate(over="ignore"):  # an overflow is refused just below
+            payload = np.ascontiguousarray(v.data.transpose(0, 3, 2, 1),
+                                           dtype=PAYLOAD_DTYPES[v.dtype])
+        if not np.all(np.isfinite(payload)):
+            raise ValueError(f"refusing to write volume data that is not finite as {v.dtype}")
     else:
         raise TypeError(f"cannot write object of type {type(v).__name__}")
     header = VolumeHeader(*layout, payload_crc32=zlib.crc32(payload))

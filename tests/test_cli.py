@@ -205,6 +205,14 @@ def test_jacobian_scaling_interior(workdir, tmp_path):
     assert np.allclose(det.data[0, 1:-1, 1:-1, 1:-1], 8.0, atol=1e-5)
 
 
+def test_jacobian_refuses_a_determinant_past_f32(workdir, tmp_path, capsys):
+    phi = deform.DeformationField(1e13 * identity_field(DIMS).values)
+    write_volume(field_to_volume(phi), tmp_path / "huge")
+    assert run("jacobian", "--field", tmp_path / "huge", "--out", tmp_path / "jac") == 1
+    assert "not finite as f32" in capsys.readouterr().err
+    assert not (tmp_path / "jac.raw").exists() and not (tmp_path / "jac.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -269,6 +277,18 @@ def test_phantom_missing_spec_exit_1(tmp_path, capsys):
     assert run("phantom", "--spec", tmp_path / "nope.json",
                "--warp", tmp_path / "warp.json", "--out-dir", tmp_path / "o") == 1
     assert "nope.json" in capsys.readouterr().err
+
+
+def test_phantom_intensity_past_f32_exit_1(tmp_path, capsys):
+    """Every file the command writes must read back: an intensity that overflows
+    the f32 payload is refused, not written as inf."""
+    spec = dict(PHANTOM_SPEC, ellipsoids=[dict(PHANTOM_SPEC["ellipsoids"][0], intensity=1e39)])
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    (tmp_path / "warp.json").write_text(json.dumps(WARP_SPEC))
+    assert run("phantom", "--spec", tmp_path / "spec.json",
+               "--warp", tmp_path / "warp.json", "--out-dir", tmp_path / "o") == 1
+    assert "not finite as f32" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def with_label(label):

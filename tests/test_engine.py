@@ -542,6 +542,37 @@ def bits(total, grads):
     return [float(total).hex()] + [g.tobytes() for g in grads]
 
 
+def test_backward_runs_each_weighted_pullback_once(monkeypatch):
+    """The backward pass runs a term's pullback only if the term is weighted,
+    and then exactly once per direction and step."""
+    a, b, segs, deltas = folding_instance((8, 8, 8), 2, labels=True)
+    calls = []  # per direction_terms call (step, then direction), per term
+    inner = engine.direction_terms
+
+    def counted(*args):
+        runs = [0] * 5
+        calls.append(runs)
+
+        def wrap(i, pullback):
+            def run():
+                runs[i] += 1
+                return pullback()
+            return run
+
+        terms = inner(*args)
+        assert all(pullback is not None for _, pullback in terms)  # labelled and folding
+        return [(value, wrap(i, pullback)) for i, (value, pullback) in enumerate(terms)]
+
+    monkeypatch.setattr(engine, "CORES", 1)
+    monkeypatch.setattr(engine, "direction_terms", counted)
+    for weights, want in ((LossWeights(1, 0, 0.1, 0, 10), [1, 0, 1, 0, 1]),
+                          (LossWeights(), [1] * 5)):
+        calls.clear()
+        objective_and_gradient(a, b, deltas, RegistrationConfig(weights=weights, steps=2,
+                                                                control_stride=2), segs=segs)
+        assert calls == [want] * 4
+
+
 @pytest.mark.parametrize("steps", [1, 2, 3])
 @pytest.mark.parametrize("labels", [True, False])
 def test_objective_and_gradient_same_bits_on_one_and_two_cores(monkeypatch, steps, labels):

@@ -383,25 +383,30 @@ def test_loss_total_weighted_recombination():
     )
 
 
-def test_loss_total_keeps_pullbacks_of_weighted_terms_only():
-    _, pullbacks = loss_total(weights=LossWeights(1, 0, 0.1, 0, 10), **all_identity_inputs())
-    assert [w for w, *_ in pullbacks] == [1, 1, 0.1, 0.1, 10, 10]
-    assert [(d, key) for _, d, key, _ in pullbacks] == [
-        (0, "warp"), (1, "warp"), (0, "g"), (1, "g"), (0, "compose"), (1, "compose")]
-    assert all(isinstance(pb(), np.ndarray) for *_, pb in pullbacks)
-
-    # all weights on and both fields folding: each direction gets every input
-    # once, so the backward pass assigns each cotangent instead of merging
-    rng = np.random.default_rng(6)
+def test_loss_total_returns_both_directions_terms_in_order():
+    """Per direction, five (value, pullback) pairs in the field order of
+    LossWeights: sim, seg, reg, jac and inv, whose cotangents are those of the
+    warped image, the warped labels, g, phi and the composition."""
     inputs = all_identity_inputs()
+    bd, terms = loss_total(weights=LossWeights(1, 0, 0.1, 0, 10), **inputs)
+    assert len(terms) == 2 and all(len(direction) == 5 for direction in terms)
+    assert [ab + ba for (ab, _), (ba, _) in zip(*terms)] == [
+        bd.sim, bd.seg, bd.reg, bd.jac, bd.inv]
+    for direction in terms:
+        assert direction[3][1] is None  # the identity does not fold
+        assert [pullback().shape for _, pullback in direction if pullback is not None] == [
+            (1,) + DIMS, (2,) + DIMS, (3,) + DIMS, (3,) + DIMS]
+
+    # without labels seg is (0.0, None); folding fields have a jac pullback
+    rng = np.random.default_rng(6)
+    del inputs["seg_warps"], inputs["seg_targets"]
     inputs["phis"] = (random_field(rng, scale=1.2), random_field(rng, scale=1.2))
     inputs["composed"] = compositions(inputs["phis"])
     assert all((deform.jacobian_det(phi).data < 0).any() for phi in inputs["phis"])
-    _, pullbacks = loss_total(weights=LossWeights(), **inputs)
-    keys = [(d, key) for _, d, key, _ in pullbacks]
-    assert len(keys) == len(set(keys))
-    assert sorted(keys) == sorted((d, key) for d in (0, 1)
-                                  for key in ("warp", "seg_warp", "g", "phi", "compose"))
+    _, terms = loss_total(weights=LossWeights(), **inputs)
+    for direction in terms:
+        assert direction[1] == (0.0, None)
+        assert direction[3][1]().shape == (3,) + DIMS
 
 
 def test_loss_total_swap_symmetry():

@@ -200,6 +200,33 @@ def test_sweep_equals_the_per_source_adjoints(case):
             assert got is None
 
 
+@given(sweep_cases, st.integers(0, 2))
+def test_a_source_without_cotangent_is_left_out_of_the_sweep(case, drop):
+    """A None upstream adds no channels to the coordinate pass, bit for bit as if
+    its source were not given, and has no value gradient even if flagged."""
+    rng = np.random.default_rng(case["seed"])
+    dims = case["dims"]
+    phi = DeformationField(draw_coords(rng, dims, dims))
+    sources = [rng.standard_normal((c,) + dims) for c in case["channels"]]
+    upstreams = [rng.standard_normal((c,) + dims) for c in case["channels"]]
+    scatter = case["scatter"][:len(sources)]
+    drop %= len(sources)
+    scatter[drop] = True
+    kept = [i for i in range(len(sources)) if i != drop]
+    coords_grad, values = deform.vjp_sample(
+        phi, sources, [None if i == drop else u for i, u in enumerate(upstreams)], scatter)
+    want_coords, want_values = deform.vjp_sample(
+        phi, [sources[i] for i in kept], [upstreams[i] for i in kept], [scatter[i] for i in kept])
+    assert_same_bits(coords_grad, want_coords)
+    assert values[drop] is None
+    assert len(values) == len(sources)
+    for got, want in zip([values[i] for i in kept], want_values):
+        if want is None:
+            assert got is None
+        else:
+            assert_same_bits(got, want)
+
+
 def test_scatter_rejects_an_upstream_of_another_size():
     dims = (5, 4, 3)
     plan = SamplePlan(np.indices(dims) + 0.3, dims)

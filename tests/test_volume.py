@@ -135,6 +135,18 @@ def test_non_finite_rejected_before_write(tmp_path):
     assert not (tmp_path / "nan.raw").exists()
 
 
+def test_payload_overflow_rejected_before_write(tmp_path):
+    """A finite value past the f32 range would be written as inf, which the
+    reader rejects; the writer refuses it and leaves no file."""
+    data = np.zeros((1, 2, 2, 2))
+    data[0, 1, 0, 0] = 1e39
+    with pytest.raises(ValueError, match="not finite as f32"):
+        write_volume(Volume(data, dtype="f32"), tmp_path / "big")
+    assert list(tmp_path.iterdir()) == []
+    write_volume(Volume(data, dtype="f64"), tmp_path / "big")
+    assert read_volume(tmp_path / "big").data[0, 1, 0, 0] == 1e39
+
+
 class _FailingWriter:
     """A file that writes the first half of what it is given, then raises."""
 
