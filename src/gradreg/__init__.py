@@ -23,7 +23,7 @@ from .engine import (
     optimize,
     register_pair,
 )
-from .losses import LossBreakdown, LossWeights, loss_total
+from .losses import LossBreakdown, LossWeights
 from .metrics import PairMetrics, dice, dice30, evaluate_pair, hd95, sdlogj
 from .phantom import AnalyticWarp, PhantomSpec, analytic_field, make_pair, make_phantom
 from .volume import (

@@ -24,19 +24,17 @@ build, the gather, the coordinate adjoint and the scatter walk the samples in
 cache-sized blocks; the value adjoint (scatter) adds each corner's weighted
 upstream into each channel's output plane in place, in the order of one
 corner-major pass over all samples, through scipy's sparse matrix-vector
-kernel, which only the backward pass imports.  A ``DeformationField`` builds
-its plan when first sampled at and keeps it for its lifetime, so every warp,
-composition and adjoint at that field shares it; ``values`` must not change
-afterwards.
-``sample`` gathers every source sampled at one field in one pass, and
-``vjp_sample`` is the whole adjoint there in one sweep.  ``upsample`` uses no
+kernel, which only the backward pass imports.  A plan lives for one call:
+``sample`` builds one to gather every source sampled at a field in one pass,
+and ``vjp_sample`` builds one for the whole adjoint there in one sweep, so a
+field is a plain value that keeps nothing between calls.  ``upsample`` uses no
 plan: it runs one two-tap hat-weight pass per axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,7 +97,6 @@ class DeformationField:
     """Absolute sample coordinates in voxel units, shape (3, nx, ny, nz)."""
 
     values: np.ndarray
-    _plan: SamplePlan | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -112,17 +109,6 @@ class DeformationField:
     @property
     def dims(self) -> tuple[int, int, int]:
         return self.values.shape[1:]
-
-    @property
-    def plan(self) -> SamplePlan:
-        """Sample plan at these coordinates, built on first use and kept."""
-        if self._plan is None:
-            self._plan = SamplePlan(self.values, self.dims)
-        return self._plan
-
-    def drop_plan(self) -> None:
-        """Free the sample plan early; sampling here again rebuilds it."""
-        self._plan = None
 
 
 def control_dims_for(image_dims, stride: int) -> tuple[int, int, int]:
@@ -340,12 +326,13 @@ def identity_field(dims) -> DeformationField:
 
 
 def sample(phi: DeformationField, sources) -> list[np.ndarray]:
-    """Trilinear samples at ``phi`` of every (C, *dims) source, in one pass of its
-    plan: a separate (C, *dims) array per source.  The mirror of ``vjp_sample``."""
+    """Trilinear samples at ``phi`` of every (C, *dims) source, in one pass of a
+    plan built here: a separate (C, *dims) array per source.  The mirror of
+    ``vjp_sample``."""
     for source in sources:
         if source.shape[1:] != phi.dims:
             raise ValueError(f"source dims {source.shape[1:]} != field dims {phi.dims}")
-    return phi.plan.gather(sources)
+    return SamplePlan(phi.values, phi.dims).gather(sources)
 
 
 def warp(img: Volume, phi: DeformationField) -> Volume:
@@ -500,7 +487,7 @@ def vjp_integrate(upstream: np.ndarray) -> np.ndarray:
 
 
 def vjp_sample(phi: DeformationField, sources, upstreams, scatter):
-    """Adjoint of sampling every source at ``phi``, in one sweep of its plan.
+    """Adjoint of sampling every source at ``phi``, in one sweep of a plan built here.
 
     ``sources`` are the (C, *dims) arrays sampled there (warped volumes, the
     outer field of a composition), ``upstreams`` their cotangents; a None
@@ -509,7 +496,7 @@ def vjp_sample(phi: DeformationField, sources, upstreams, scatter):
     scatter the value gradient of each such source whose ``scatter`` flag is
     set, else None.
     """
-    plan = phi.plan
+    plan = SamplePlan(phi.values, phi.dims)
     used = [(s, u) for s, u in zip(sources, upstreams) if u is not None]
     coords = plan.coords_grad([c for s, _ in used for c in s], [c for _, u in used for c in u])
     scatter = [s and u is not None for u, s in zip(upstreams, scatter)]

@@ -327,7 +327,6 @@ def _backward(steps: list[StepForward], deltas: list[PreActivationField],
             the other composition's value gradient."""
             gphi, (reg, jac), outer = gphis[d], cots[d], outers[1 - d]
             gphis[d] = cots[d] = outers[1 - d] = None
-            step.phis[d].drop_plan()  # nothing samples at this step's fields again
             # the other composition's value gradient, then the Jacobian-hinge cotangent
             if outer is not None:
                 gphi += outer
@@ -382,7 +381,7 @@ def _adam(a: Volume, b: Volume, config: RegistrationConfig,
             update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
             deltas[k] = PreActivationField(deltas[k].values - update,
                                            stride=config.control_stride)
-        del run, grads  # free this iteration's arrays and plans before the next forward
+        del run, grads  # free this iteration's arrays before the next forward
         if len(trace) >= 11:
             ref = trace[-11].total
             if abs(trace[-1].total - ref) < config.convergence_tol * max(abs(ref), 1e-300):
@@ -397,7 +396,7 @@ def _final_pass(a: Volume, b: Volume, deltas: list[PreActivationField],
     and the inputs warped once with them (with one step, the step's own).
 
     No backward pass follows, so the pullbacks and their residual arrays go
-    before the fields are composed; the exposed fields keep no sample plans.
+    before the fields are composed.
     """
     run = multistep_forward(a, b, deltas, config.weights, segs=segs)
     if not np.isfinite(run.breakdown.total):
@@ -407,8 +406,6 @@ def _final_pass(a: Volume, b: Volume, deltas: list[PreActivationField],
     phis = [_compose_steps([s.phis[d] for s in run.steps]) for d in (0, 1)]
     warps = (run.steps[0].warps if len(run.steps) == 1
              else tuple(map(deform.warp, (a, b), phis)))
-    for phi in phis:
-        phi.drop_plan()
     return RegistrationResult(*phis, *warps, run.breakdown, deltas, trace, len(trace),
                               converged)
 

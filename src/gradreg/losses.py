@@ -7,16 +7,16 @@ the term's one differentiated input.  Only the backward pass runs a pullback,
 and only once, as it may form the cotangent in the array it kept.
 ``direction_terms`` evaluates one direction's five terms, in the field order
 of ``LossWeights``; ``sum_directions`` sums each over the two directions
-into a plain ``LossBreakdown``; ``loss_total`` does both.  A term's place
-in that order says which input it differentiates.  The terms take
-values the forward pass has already sampled: the inverse-consistency term
-takes a composition's coordinates and forms its residual in them.  All terms
-are nonnegative and exactly zero on the all-identity configuration.
+into a plain ``LossBreakdown``.  A term's place in that order says which
+input it differentiates.  The terms take values the forward pass has already
+sampled: the inverse-consistency term takes a composition's coordinates and
+forms its residual in them.  All terms are nonnegative and exactly zero on the
+all-identity configuration.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +54,6 @@ class LossBreakdown:
     jac: float
     inv: float
     total: float
-
-    def to_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 def loss_sim(warped: Volume, target: Volume):
@@ -162,21 +159,3 @@ def sum_directions(terms, weights: LossWeights) -> LossBreakdown:
         + weights.epsilon * inv
     )
     return LossBreakdown(sim, seg, reg, jac, inv, total)
-
-
-def loss_total(warps, targets, gs, phis, composed, weights: LossWeights, seg_warps=None,
-               seg_targets=None) -> tuple[LossBreakdown, list[list[tuple]]]:
-    """Weighted five-term loss of a pair of directions, and the pair of their
-    ``direction_terms`` lists.
-
-    Every argument but the weights is a pair in direction order (A-to-B,
-    B-to-A); ``phis`` serve the Jacobian term, and ``composed`` holds direction
-    d's composition of the other field with its own, which ``loss_inv``
-    consumes.  Omitting the segmentation inputs forces the beta term to zero.
-    """
-    if (seg_warps is None) != (seg_targets is None):
-        raise ValueError("segmentation inputs must be given all together or not at all")
-    segs = [(None, None)] * 2 if seg_warps is None else list(zip(seg_warps, seg_targets))
-    terms = [direction_terms(*args, *seg) for args, seg
-             in zip(zip(warps, targets, gs, phis, composed), segs)]
-    return sum_directions(terms, weights), terms

@@ -89,7 +89,7 @@ class PhantomSpec:
             if not np.isfinite(e.intensity):
                 raise ValueError("ellipsoid intensity must be finite")
             for c, r, n in zip(e.center, e.semi_axes, self.dims):
-                if c - r < 0 or c + r > n - 1:
+                if not (0 <= c - r and c + r <= n - 1):  # false for a NaN as well
                     raise ValueError(f"ellipsoid out of bounds: center {e.center}, "
                                      f"semi-axes {e.semi_axes}, dims {self.dims}")
         if self.noise_sigma < 0 or not np.isfinite(self.noise_sigma):

@@ -15,6 +15,7 @@ the keys its caller lists.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
 from dataclasses import asdict, dataclass
@@ -39,7 +40,7 @@ def read_keys(name: str, raw, keys: dict) -> dict:
     """The values of ``keys`` in ``raw``, a parsed JSON input called ``name``.
 
     ``keys`` maps each key to ``(kind, default)``.  ``int`` takes a JSON
-    integer, ``float`` any number (returned as a float), ``str`` a string,
+    integer, ``float`` a finite number (returned as a float), ``str`` a string,
     ``list`` a list, ``object`` anything, and ``(kind, n)`` a list of ``n``
     of them (returned as a tuple); a bool is not a number.  Null is allowed
     where the default is None, and an absent key takes its default unless
@@ -70,6 +71,8 @@ def read_keys(name: str, raw, keys: dict) -> dict:
             items = [float(v) if kind is float else v for v in items]
         except OverflowError:
             raise ValueError(f"{what} is out of range for a float") from None
+        if kind is float and not all(map(math.isfinite, items)):  # JSON's NaN, Infinity
+            raise ValueError(f"{what} must be finite, got {json.dumps(value)}")
         values[key] = items[0] if n is None else tuple(items)
     return values
 
@@ -79,7 +82,7 @@ class Volume:
     """Multi-channel 3D scalar field with voxel spacing metadata.
 
     ``data`` has shape ``(channels, nx, ny, nz)``; a 3D array is promoted to a
-    single channel.  Values must be finite, spacing strictly positive.
+    single channel.  Values must be finite, spacing positive and finite.
     """
 
     data: np.ndarray
@@ -98,8 +101,8 @@ class Volume:
             raise ValueError("volume values must be finite")
         self.data = arr
         self.spacing_mm = tuple(float(s) for s in self.spacing_mm)
-        if len(self.spacing_mm) != 3 or any(s <= 0 for s in self.spacing_mm):
-            raise ValueError(f"spacing must be 3 positive reals, got {self.spacing_mm}")
+        if len(self.spacing_mm) != 3 or not all(0 < s < math.inf for s in self.spacing_mm):
+            raise ValueError(f"spacing must be 3 positive finite reals, got {self.spacing_mm}")
         if self.dtype not in ("f32", "f64"):
             raise ValueError(f"image dtype tag must be f32 or f64, got {self.dtype!r}")
 
@@ -131,8 +134,8 @@ class LabelVolume:
             raise ValueError("labels must fit in uint16")
         self.labels = arr.astype(np.uint16)
         self.spacing_mm = tuple(float(s) for s in self.spacing_mm)
-        if len(self.spacing_mm) != 3 or any(s <= 0 for s in self.spacing_mm):
-            raise ValueError(f"spacing must be 3 positive reals, got {self.spacing_mm}")
+        if len(self.spacing_mm) != 3 or not all(0 < s < math.inf for s in self.spacing_mm):
+            raise ValueError(f"spacing must be 3 positive finite reals, got {self.spacing_mm}")
         if self.label_names is not None:
             present = set(np.unique(self.labels).tolist()) - {0}
             missing = present - set(self.label_names)

@@ -29,7 +29,7 @@ from gradreg.engine import (
     multistep_forward,
     register_pair,
 )
-from gradreg.losses import LossWeights, loss_inv, loss_jac, loss_total
+from gradreg.losses import LossWeights, loss_inv, loss_jac
 from gradreg.metrics import dice, dice30, evaluate_pair, hd95, sdlogj
 from gradreg.phantom import AnalyticWarp, Ellipsoid, PhantomSpec, analytic_field, make_pair
 from gradreg.volume import LabelVolume, Volume, one_hot

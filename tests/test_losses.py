@@ -6,12 +6,13 @@ from gradreg.deform import DeformationField, GradientField, identity_field
 from gradreg.losses import (
     LossBreakdown,
     LossWeights,
+    direction_terms,
     loss_inv,
     loss_jac,
     loss_reg,
     loss_seg,
     loss_sim,
-    loss_total,
+    sum_directions,
 )
 from gradreg.volume import LabelVolume, Volume, one_hot
 from oracles import det_vjp_ref, jacobian_matrix
@@ -339,24 +340,31 @@ def test_loss_inv_gradients_match_fd():
 
 
 # ---------------------------------------------------------------------------
-# total
+# total: both directions' terms, summed
 
 
-def all_identity_inputs():
+def both_directions(warps, targets, gs, phis, segs=((None, None), (None, None))):
+    """Both directions' ``direction_terms``, A-to-B first; ``segs`` holds each
+    direction's warped and target one-hot labels."""
+    return [direction_terms(w, t, g, phi, composed, *seg) for w, t, g, phi, composed, seg
+            in zip(warps, targets, gs, phis, compositions(phis), segs)]
+
+
+def identity_inputs():
+    """A volume, the all-ones gradient field, the identity and one-hot labels."""
     rng = np.random.default_rng(8)
     a = vol(rng.uniform(0, 1, (1,) + DIMS))
-    ident = identity_field(DIMS)
-    ones = GradientField(np.ones((3,) + DIMS))
     labels = LabelVolume(rng.integers(0, 3, DIMS))
-    seg = one_hot(labels, [1, 2])
-    return dict(warps=(a, a), targets=(a, a), gs=(ones, ones), phis=(ident, ident),
-                composed=compositions((ident, ident)), seg_warps=(seg, seg),
-                seg_targets=(seg, seg))
+    return a, GradientField(np.ones((3,) + DIMS)), identity_field(DIMS), one_hot(labels, [1, 2])
+
+
+def all_identity_terms():
+    a, ones, ident, seg = identity_inputs()
+    return both_directions((a, a), (a, a), (ones, ones), (ident, ident), ((seg, seg),) * 2)
 
 
 def test_loss_total_all_identity_is_zero_except_dice_smoothing():
-    inputs = all_identity_inputs()
-    bd, _ = loss_total(weights=LossWeights(1, 0, 0.1, 0.01, 10), **inputs)
+    bd = sum_directions(all_identity_terms(), LossWeights(1, 0, 0.1, 0.01, 10))
     assert bd.sim == 0.0 and bd.reg == 0.0 and bd.jac == 0.0 and bd.inv == 0.0
     assert bd.total == 0.0
     assert bd.seg == 0.0  # identical one-hot volumes cancel exactly
@@ -365,15 +373,10 @@ def test_loss_total_all_identity_is_zero_except_dice_smoothing():
 def test_loss_total_weighted_recombination():
     rng = np.random.default_rng(9)
     a_warp, b, b_warp, a = (vol(rng.uniform(0, 1, (1,) + DIMS)) for _ in range(4))
-    inputs = dict(
-        warps=(a_warp, b_warp),
-        targets=(b, a),
-        gs=tuple(GradientField(rng.uniform(0.2, 1.8, (3,) + DIMS)) for _ in range(2)),
-        phis=tuple(random_field(rng, scale=0.8) for _ in range(2)),
-    )
-    inputs["composed"] = compositions(inputs["phis"])
+    gs = tuple(GradientField(rng.uniform(0.2, 1.8, (3,) + DIMS)) for _ in range(2))
+    phis = tuple(random_field(rng, scale=0.8) for _ in range(2))
     w = LossWeights(1.0, 1.0, 0.1, 0.01, 10.0)
-    bd, _ = loss_total(weights=w, **inputs)
+    bd = sum_directions(both_directions((a_warp, b_warp), (b, a), gs, phis), w)
     assert bd.seg == 0.0  # unsupervised mode
     recombined = (w.alpha * bd.sim + w.beta * bd.seg + w.gamma * bd.reg
                   + w.delta * bd.jac + w.epsilon * bd.inv)
@@ -387,8 +390,8 @@ def test_loss_total_returns_both_directions_terms_in_order():
     """Per direction, five (value, pullback) pairs in the field order of
     LossWeights: sim, seg, reg, jac and inv, whose cotangents are those of the
     warped image, the warped labels, g, phi and the composition."""
-    inputs = all_identity_inputs()
-    bd, terms = loss_total(weights=LossWeights(1, 0, 0.1, 0, 10), **inputs)
+    terms = all_identity_terms()
+    bd = sum_directions(terms, LossWeights(1, 0, 0.1, 0, 10))
     assert len(terms) == 2 and all(len(direction) == 5 for direction in terms)
     assert [ab + ba for (ab, _), (ba, _) in zip(*terms)] == [
         bd.sim, bd.seg, bd.reg, bd.jac, bd.inv]
@@ -398,13 +401,11 @@ def test_loss_total_returns_both_directions_terms_in_order():
             (1,) + DIMS, (2,) + DIMS, (3,) + DIMS, (3,) + DIMS]
 
     # without labels seg is (0.0, None); folding fields have a jac pullback
+    a, ones, _, _ = identity_inputs()
     rng = np.random.default_rng(6)
-    del inputs["seg_warps"], inputs["seg_targets"]
-    inputs["phis"] = (random_field(rng, scale=1.2), random_field(rng, scale=1.2))
-    inputs["composed"] = compositions(inputs["phis"])
-    assert all((deform.jacobian_det(phi).data < 0).any() for phi in inputs["phis"])
-    _, terms = loss_total(weights=LossWeights(), **inputs)
-    for direction in terms:
+    phis = (random_field(rng, scale=1.2), random_field(rng, scale=1.2))
+    assert all((deform.jacobian_det(phi).data < 0).any() for phi in phis)
+    for direction in both_directions((a, a), (a, a), (ones, ones), phis):
         assert direction[1] == (0.0, None)
         assert direction[3][1]().shape == (3,) + DIMS
 
@@ -420,17 +421,10 @@ def test_loss_total_swap_symmetry():
     p1 = random_field(rng)
     p2 = random_field(rng)
     w = LossWeights(1, 0, 0.1, 0.01, 10)
-    bd, _ = loss_total((aw, bw), (b, a), (g1, g2), (p1, p2), compositions((p1, p2)), w)
-    swapped, _ = loss_total((bw, aw), (a, b), (g2, g1), (p2, p1), compositions((p2, p1)), w)
+    bd = sum_directions(both_directions((aw, bw), (b, a), (g1, g2), (p1, p2)), w)
+    swapped = sum_directions(both_directions((bw, aw), (a, b), (g2, g1), (p2, p1)), w)
     for term in ("sim", "seg", "reg", "jac", "inv", "total"):
         assert getattr(bd, term) == getattr(swapped, term)
-
-
-def test_loss_total_requires_complete_seg_inputs():
-    inputs = all_identity_inputs()
-    inputs["seg_targets"] = None
-    with pytest.raises(ValueError, match="all together"):
-        loss_total(weights=LossWeights(), **inputs)
 
 
 def test_loss_weights_validation():

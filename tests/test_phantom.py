@@ -92,6 +92,9 @@ def test_spec_validation():
         ])
     with pytest.raises(ValueError, match="positive"):
         PhantomSpec(dims=(8, 8, 8), ellipsoids=[Ellipsoid((4, 4, 4), (0, 1, 1), 1, 1.0)])
+    for center, axes in (((np.nan, 4, 4), (1, 1, 1)), ((4, 4, 4), (1, np.inf, 1))):
+        with pytest.raises(ValueError, match="out of bounds"):
+            PhantomSpec(dims=(8, 8, 8), ellipsoids=[Ellipsoid(center, axes, 1, 1.0)])
 
 
 def test_spec_json_round_trip():

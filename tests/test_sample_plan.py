@@ -1,4 +1,4 @@
-"""The trilinear sample plan: adjoint identities, exactness, reuse."""
+"""The trilinear sample plan: adjoint identities, exactness, one plan per call."""
 
 import tracemalloc
 
@@ -238,7 +238,8 @@ def test_scatter_peak_is_its_output_plus_block_rows():
     """No (8, N) weight table: that alone is 64 B per sample."""
     dims = (64, 64, 64)
     rng = np.random.default_rng(21)
-    plan = random_field(rng, dims).plan
+    phi = random_field(rng, dims)
+    plan = SamplePlan(phi.values, dims)
     upstream = rng.standard_normal((3,) + dims)
     tracemalloc.start()
     try:
@@ -249,7 +250,9 @@ def test_scatter_peak_is_its_output_plus_block_rows():
     assert (peak - out.nbytes) / upstream[0].size < 16
 
 
-def test_one_plan_per_field(monkeypatch):
+def test_one_plan_per_sampling_call(monkeypatch):
+    """Each ``sample`` and ``vjp_sample`` call builds one plan for all its sources,
+    and keeps none: a second call at the same field builds its own."""
     built = []
 
     class CountingPlan(SamplePlan):
@@ -262,10 +265,32 @@ def test_one_plan_per_field(monkeypatch):
     phi, outer = random_field(rng, dims), random_field(rng, dims)
     monkeypatch.setattr(deform, "SamplePlan", CountingPlan)
     img = Volume(rng.uniform(0.0, 1.0, (1,) + dims), dtype="f64")
+    sources = [img.data, rng.uniform(0.0, 1.0, (3,) + dims), outer.values]
+    for count in (1, 3):
+        built.clear()
+        deform.sample(phi, sources[:count])
+        assert built == [dims]
+        built.clear()
+        deform.vjp_sample(phi, sources[:count],
+                          [rng.standard_normal(s.shape) for s in sources[:count]],
+                          [True] * count)
+        assert built == [dims]
+    built.clear()
     deform.warp(img, phi)
-    deform.warp(Volume(rng.uniform(0.0, 1.0, (3,) + dims), dtype="f64"), phi)
     deform.compose(outer, phi)
-    deform.vjp_sample(phi, [img.data, outer.values],
-                      [rng.standard_normal((1,) + dims), rng.standard_normal((3,) + dims)],
-                      [True, True])
-    assert built == [dims]
+    assert built == [dims, dims]
+
+
+def test_a_field_written_in_place_is_sampled_at_its_new_values():
+    """A field keeps nothing from an earlier sample: after its values change in
+    place, a warp is bit for bit that of a new field with those values."""
+    rng = np.random.default_rng(6)
+    dims = (7, 6, 5)
+    phi = random_field(rng, dims)
+    img = Volume(rng.uniform(0.0, 1.0, (2,) + dims), dtype="f64")
+    before = deform.warp(img, phi).data
+    phi.values += rng.uniform(-1.5, 1.5, phi.values.shape)
+    after = deform.warp(img, phi).data
+    fresh = deform.warp(img, DeformationField(phi.values.copy())).data
+    assert not np.array_equal(after, before)
+    assert_same_bits(after, fresh)

@@ -209,6 +209,17 @@ def test_header_without_checksum_still_reads(tmp_path):
     assert np.array_equal(read_volume(tmp_path / "vol").data, v.data)
 
 
+def test_non_finite_header_spacing_rejected(tmp_path):
+    """Python's json reads NaN and Infinity; a header must not pass them on."""
+    write_volume(random_volume(np.random.default_rng(16)), tmp_path / "vol")
+    header = json.loads((tmp_path / "vol.json").read_text())
+    header["spacing_mm"] = [float("nan"), 1.0, float("inf")]
+    (tmp_path / "vol.json").write_text(json.dumps(header))
+    assert "NaN" in (tmp_path / "vol.json").read_text()
+    with pytest.raises(ValueError, match="volume header key 'spacing_mm' must be finite"):
+        read_volume(tmp_path / "vol")
+
+
 def test_x_fastest_layout(tmp_path):
     # value at (x, y, z) = x + 10y + 100z; payload must advance x first
     nx, ny, nz = 3, 2, 2
@@ -231,6 +242,14 @@ def test_volume_invariants():
         Volume(np.zeros((1, 2, 2, 2)), spacing_mm=(1.0, 0.0, 1.0))
     with pytest.raises(ValueError):
         LabelVolume(-np.ones((2, 2, 2), dtype=np.int64))
+
+
+@pytest.mark.parametrize("spacing", [(np.nan, 1.0, 1.0), (1.0, np.inf, 1.0)])
+def test_non_finite_spacing_rejected(spacing):
+    with pytest.raises(ValueError, match="spacing"):
+        Volume(np.zeros((1, 2, 2, 2)), spacing_mm=spacing)
+    with pytest.raises(ValueError, match="spacing"):
+        LabelVolume(np.zeros((2, 2, 2), dtype=np.uint16), spacing_mm=spacing)
 
 
 def test_label_names_must_cover_present_labels():
