@@ -157,14 +157,17 @@ class SamplePlan:
         self.frac = np.empty((3, samples))
         self.inside = np.empty((3, samples), dtype=bool)
         for s in _blocks(samples):
-            xyz, frac = flat[:, s], self.frac[:, s]
-            np.clip(xyz, 0.0, top, out=frac)
+            xyz, frac, base = flat[:, s], self.frac[:, s], self.base[s]
+            np.maximum(xyz, 0.0, out=frac)
+            np.minimum(frac, top, out=frac)
+            np.equal(frac, xyz, out=self.inside[:, s])
             low = frac.astype(np.intp)  # the floor, as the clipped coordinates are >= 0
-            np.clip(low, 0, high, out=low)
-            ix, iy, iz = low
-            self.base[s] = (ix * ny + iy) * nz + iz
+            np.minimum(low, high, out=low)
+            np.multiply(low[0], ny, out=base)
+            base += low[1]
+            base *= nz
+            base += low[2]
             frac -= low
-            self.inside[:, s] = (xyz >= 0.0) & (xyz <= top)
 
     def _weights(self, s: slice, out: np.ndarray) -> np.ndarray:
         """The (8, m) corner weights of the samples in block ``s``, into ``out``."""
@@ -466,15 +469,16 @@ def det_vjp(phi: DeformationField, upstream_det: np.ndarray) -> np.ndarray:
 # vector-Jacobian products of the forward stages
 
 
-def vjp_activate(x_values: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """Adjoint of activate: 2*sigma(x)*(1-sigma(x)) * upstream, formed in place."""
-    from scipy.special import expit
-    s = expit(x_values)
-    t = 1.0 - s
-    s *= 2.0
-    s *= t
-    s *= upstream
-    return s
+def vjp_activate(g: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Adjoint of activate from its output ``g`` = 2*sigmoid(x), exactly:
+    g*(1 - g/2) * upstream, the bits of 2*sigmoid(x)*(1 - sigmoid(x)) * upstream,
+    formed in place; 0 where the clip acted, the one place ``g`` is at a bound."""
+    out = g / 2.0
+    np.subtract(1.0, out, out=out)
+    out *= g
+    out *= upstream
+    out *= (g > _G_MIN) & (g < _G_MAX)
+    return out
 
 
 def vjp_integrate(upstream: np.ndarray) -> np.ndarray:

@@ -37,13 +37,13 @@ from dataclasses import astuple, dataclass, field, fields, replace
 import numpy as np
 
 from . import deform
-from .deform import DeformationField, PreActivationField
+from .deform import DeformationField, GradientField, PreActivationField
 from .losses import LossBreakdown, LossWeights, direction_terms, sum_directions
 from .volume import LabelVolume, Volume, one_hot, read_keys
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the objective turns non-finite; carries the loss trace."""
+    """Raised when the objective or the parameters turn non-finite; carries the loss trace."""
 
     def __init__(self, message: str, trace: list[LossBreakdown]):
         super().__init__(message)
@@ -156,16 +156,16 @@ class RegistrationConfig:
 class StepForward:
     """One refinement step's fields, sequential warps and loss.
 
-    ``phis``, ``warps`` and ``seg_warps`` (None without labels) are pairs in
-    direction order (A-to-B, B-to-A), as are the two that serve the backward
-    pass with ``x`` (the upsampled parameter field): ``terms``, each direction's
-    five ``(value, pullback)`` pairs from ``direction_terms`` (no pullback for a
-    term of weight 0), and ``sampled``, what each direction's field sampled in
-    its one gather, in order: the image, any one-hot labels, then the other
-    field's values.
+    ``gs`` (the activated gradient fields, which the backward pass reads in
+    ``vjp_activate`` and the reg pullback), ``phis``, ``warps`` and
+    ``seg_warps`` (None without labels) are pairs in direction order (A-to-B,
+    B-to-A), as are ``terms``, each direction's five ``(value, pullback)``
+    pairs from ``direction_terms`` (no pullback for a term of weight 0), and
+    ``sampled``, what each direction's field sampled in its one gather, in
+    order: the image, any one-hot labels, then the other field's values.
     """
 
-    x: PreActivationField
+    gs: tuple[GradientField, GradientField]
     phis: tuple[DeformationField, DeformationField]
     warps: tuple[Volume, Volume]
     seg_warps: tuple[Volume, Volume] | None
@@ -267,25 +267,24 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
         volumes, sampled, terms = zip(*_both(
             lambda d: _direction_loss(phis, d, volumes[d], targets[d], gs[d], weights), voxels))
         warps, *labelled = zip(*volumes)
-        steps.append(StepForward(x, phis, warps, labelled[0] if labelled else None,
+        steps.append(StepForward(gs, phis, warps, labelled[0] if labelled else None,
                                  sum_directions(terms, weights), terms, sampled))
     breakdown = LossBreakdown(*(sum(getattr(s.breakdown, f.name) for s in steps)
                                 for f in fields(LossBreakdown)))
     return MultistepForward(steps, breakdown)
 
 
-def _cotangents(terms: list[tuple], weights: LossWeights) -> list[np.ndarray | None]:
-    """The weighted cotangents of one direction's five terms, in term order (the
-    field order of ``LossWeights``); None where the term has no pullback, as it
-    has none where its weight is 0.  Each pullback runs once, scaled in place,
-    and is released as it goes with what it kept."""
-    cots = [None] * len(terms)
-    for i, w in enumerate(astuple(weights)):
-        _, pullback = terms.pop(0)
-        if pullback is not None:
-            cots[i] = pullback()
-            cots[i] *= w
-    return cots
+def _cotangent(terms: list[tuple | None], i: int, w: float) -> np.ndarray | None:
+    """Term ``i`` of one direction's ``terms`` as a cotangent scaled in place by its
+    weight ``w``; None without a pullback, as where ``w`` is 0.  The term leaves
+    the list, so its pullback runs once and is released with what it kept."""
+    _, pullback = terms[i]
+    terms[i] = None
+    if pullback is None:
+        return None
+    cot = pullback()
+    cot *= w
+    return cot
 
 
 def _backward(steps: list[StepForward], deltas: list[PreActivationField],
@@ -295,11 +294,12 @@ def _backward(steps: list[StepForward], deltas: list[PreActivationField],
     One sweep at direction d's field carries the sim, seg and inv cotangents,
     those of what it sampled (``step.sampled[d]``): the warped image, the warped
     labels and the other field, the outer map of its loss_inv composition.  The
-    two directions run side by side (``_both``) twice per step: their
-    cotangents and sweeps, then, as each needs the value gradient of the
-    other's composition, the chain back through integrate and activate with the
-    reg and jac cotangents.
+    two directions run side by side (``_both``) twice per step: their sweeps,
+    then, as each needs the value gradient of the other's composition, the
+    chain back through integrate and activate, which forms the jac cotangent
+    just before it adds it and the reg one just after ``vjp_integrate``.
     """
+    ws = astuple(weights)
     carry: list[list[np.ndarray | None]] = [[], []]
     grads: list[np.ndarray | None] = [None] * len(steps)
     voxels = math.prod(steps[0].phis[0].dims)
@@ -307,10 +307,10 @@ def _backward(steps: list[StepForward], deltas: list[PreActivationField],
         step = steps[k]
 
         def sweep(d: int):
-            """Direction d's cotangents, the coordinate gradient at its field, and
-            the value gradients of the other field and of what it warped; the
-            latter only matter if an earlier step warped it."""
-            sim, seg, reg, jac, inv = _cotangents(step.terms[d], weights)
+            """The coordinate gradient at direction d's field, and the value
+            gradients of the other field and of what it warped; the latter only
+            matter if an earlier step warped it."""
+            sim, seg, inv = (_cotangent(step.terms[d], i, ws[i]) for i in (0, 1, 4))
             ups = [sim, inv] if step.seg_warps is None else [sim, seg, inv]
             for up, g in zip(ups, carry[d]):
                 if up is not None:
@@ -318,29 +318,29 @@ def _backward(steps: list[StepForward], deltas: list[PreActivationField],
             gphi, values = deform.vjp_sample(step.phis[d], step.sampled[d], ups,
                                              [k > 0] * (len(ups) - 1) + [True])
             *carry[d], outer = values
-            return gphi, outer, (reg, jac)
+            return gphi, outer
 
         def chain(d: int) -> np.ndarray:
-            """Direction d's coordinate gradient back to the upsampled field.  It
-            takes what it adds out of the lists, so each array goes once added;
-            only thread d takes ``gphis[d]``, ``cots[d]`` and ``outers[1 - d]``,
-            the other composition's value gradient."""
-            gphi, (reg, jac), outer = gphis[d], cots[d], outers[1 - d]
-            gphis[d] = cots[d] = outers[1 - d] = None
-            # the other composition's value gradient, then the Jacobian-hinge cotangent
-            if outer is not None:
-                gphi += outer
+            """Direction d's coordinate gradient back to the upsampled field.  Each
+            array goes once added; only thread d takes ``gphis[d]`` and
+            ``outers[1 - d]``, the other composition's value gradient."""
+            gphi = gphis[d]
+            if outers[1 - d] is not None:
+                gphi += outers[1 - d]
+            gphis[d] = outers[1 - d] = None
+            jac = _cotangent(step.terms[d], 3, ws[3])
             if jac is not None:
                 gphi += jac
-            del outer, jac
+            del jac
             gg = deform.vjp_integrate(gphi)
             del gphi
+            reg = _cotangent(step.terms[d], 2, ws[2])
             if reg is not None:
                 gg += reg
             del reg
-            return deform.vjp_activate(step.x.values if d == 0 else -step.x.values, gg)
+            return deform.vjp_activate(step.gs[d].values, gg)
 
-        gphis, outers, cots = map(list, zip(*_both(sweep, voxels)))
+        gphis, outers = map(list, zip(*_both(sweep, voxels)))
         gx, gx_ba = _both(chain, voxels)
         gx -= gx_ba
         grads[k] = deform.vjp_upsample(gx, deltas[k].stride, deltas[k].control_dims)
@@ -379,8 +379,10 @@ def _adam(a: Volume, b: Volume, config: RegistrationConfig,
             m_hat = m[k] / (1.0 - beta1**t)
             v_hat = v[k] / (1.0 - beta2**t)
             update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            deltas[k] = PreActivationField(deltas[k].values - update,
-                                           stride=config.control_stride)
+            values = deltas[k].values - update
+            if not np.all(np.isfinite(values)):  # as they are where the update is not
+                raise DivergenceError(f"parameters became non-finite at update {t}", trace)
+            deltas[k] = PreActivationField(values, stride=config.control_stride)
         del run, grads  # free this iteration's arrays before the next forward
         if len(trace) >= 11:
             ref = trace[-11].total

@@ -81,9 +81,14 @@ def loss_seg(seg_warped: Volume, seg_target: Volume):
 
 
 def loss_reg(g: GradientField):
-    """Mean squared deviation of the predicted gradients from identity spacing."""
+    """Mean squared deviation of the predicted gradients from identity spacing.
+
+    The pullback keeps only ``g``, which its step keeps too, and ``2/n``: it
+    forms the deviation again rather than keep one more array of ``g``'s size.
+    """
     d = g.values - 1.0
-    return float(np.mean(d * d)), lambda: np.multiply(d, 2.0 / d.size, out=d)
+    value, scale = float(np.mean(d * d)), 2.0 / d.size
+    return value, lambda: np.multiply(cot := g.values - 1.0, scale, out=cot)
 
 
 def loss_jac(phi: DeformationField):
@@ -103,33 +108,21 @@ def loss_jac(phi: DeformationField):
     return value, lambda: deform.det_vjp(phi, np.where(mask, -1.0 / n, 0.0))
 
 
-def loss_inv(composed: np.ndarray, interior_margin: int = 0):
+def loss_inv(composed: np.ndarray):
     """Mean squared residual of a composition's values against the identity map.
 
     ``composed`` holds the (3, nx, ny, nz) coordinates of ``compose(outer,
-    inner)``; the residual is formed in it, in place, so it is consumed.
-    ``interior_margin`` excludes a border shell of that many voxels from the
-    mean (and its gradients); the default 0 evaluates everywhere.  The
+    inner)``; the residual is formed in it, in place, so it is consumed.  The
     pullback gives the cotangent of the composition; the backward pass carries
     it to both fields.
     """
     if composed.ndim != 4 or composed.shape[0] != 3:
         raise ValueError(f"composition must have shape (3, nx, ny, nz), got {composed.shape}")
-    dims, m = composed.shape[1:], interior_margin
-    if m > 0 and any(n <= 2 * m for n in dims):
-        raise ValueError(f"interior margin {m} leaves no voxels of dims {dims}")
     resid = composed
-    for axis, n in enumerate(dims):  # minus the identity map, np.indices' values
+    for axis, n in enumerate(composed.shape[1:]):  # minus the identity map, np.indices' values
         resid[axis] -= np.arange(n, dtype=np.float64).reshape((-1,) + (1,) * (2 - axis))
-    if m > 0:
-        mask = np.zeros(dims)
-        mask[m:dims[0] - m, m:dims[1] - m, m:dims[2] - m] = 1.0
-        resid *= mask
-        count = 3.0 * float(mask.sum())
-    else:
-        count = float(resid.size)
-    value = float(np.sum(resid * resid)) / count
-    resid *= 2.0 / count  # from here on the residual is the cotangent
+    value = float(np.sum(resid * resid)) / resid.size
+    resid *= 2.0 / resid.size  # from here on the residual is the cotangent
     return value, lambda: resid
 
 

@@ -6,8 +6,10 @@ metrics, exactly-rounded summation for aggregates.  The trilinear reference
 keeps the direct per-call formulas that the sample plan replaced, so plan
 results can be held bit-equal to them; the whole-field Jacobian matrix and its
 determinant adjoint are the forms that the library's slab-wise determinant and
-adjoint replaced, kept for the same reason; the noise reference steps the
-phantom's LCG one state at a time in Python integers.
+adjoint replaced, kept for the same reason, as is the sigmoid form of the
+activation adjoint, which the library now takes from the activation's output;
+the noise reference steps the phantom's LCG one state at a time in Python
+integers.
 """
 
 import math
@@ -66,6 +68,28 @@ def jacobian_det_oracle(phi: DeformationField) -> np.ndarray:
                     + d[0][2] * (d[1][0] * d[2][1] - d[1][1] * d[2][0])
                 )
     return out
+
+
+def vjp_activate_ref(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """The activation adjoint from the parameters: 2*sigma(x)*(1-sigma(x)) * upstream."""
+    from scipy.special import expit
+    s = expit(x)
+    t = 1.0 - s
+    s *= 2.0
+    s *= t
+    s *= upstream
+    return s
+
+
+def inv_interior_ref(composed: np.ndarray, margin: int) -> float:
+    """Mean squared residual of a composition's (3, nx, ny, nz) coordinates
+    against the identity map over the voxels at least ``margin`` from every
+    face, exactly summed."""
+    dims = composed.shape[1:]
+    inner = (slice(None),) + tuple(slice(margin, n - margin) for n in dims)
+    resid = (composed - np.indices(dims, dtype=np.float64))[inner]
+    assert resid.size, f"margin {margin} leaves no voxels of dims {dims}"
+    return math.fsum((resid * resid).ravel()) / resid.size
 
 
 def hinge_jac_oracle(phi_ab: DeformationField, phi_ba: DeformationField) -> float:

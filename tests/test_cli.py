@@ -343,6 +343,20 @@ def test_register_identical_pair_full_dice(workdir):
     assert len(trace) == 1 + TINY_CONFIG["iterations"]
 
 
+def test_register_non_finite_update_exit_2_keeps_the_trace(workdir, capsys):
+    rng = np.random.default_rng(1)
+    write_volume(Volume(rng.uniform(0, 1, (1,) + DIMS).astype(np.float32)), workdir / "other")
+    (workdir / "huge.json").write_text(json.dumps(dict(TINY_CONFIG, learning_rate=1.7e308)))
+    out_dir = workdir / "reg"
+    with pytest.warns(RuntimeWarning):
+        code = run("register", "--fixed", workdir / "other", "--moving", workdir / "img",
+                   "--config", workdir / "huge.json", "--out-dir", out_dir)
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+    trace = (out_dir / "loss_trace.csv").read_text().strip().splitlines()
+    assert trace[0] == "iteration,sim,seg,reg,jac,inv,total" and len(trace) >= 2
+
+
 def test_register_missing_config_exit_1(workdir, capsys):
     assert run("register", "--fixed", workdir / "img", "--moving", workdir / "img",
                "--config", workdir / "missing.json",

@@ -29,7 +29,7 @@ from gradreg.deform import (
     warp_labels,
 )
 from gradreg.volume import LabelVolume, Volume
-from oracles import det_vjp_ref, jacobian_det_oracle, jacobian_matrix
+from oracles import det_vjp_ref, jacobian_det_oracle, jacobian_matrix, vjp_activate_ref
 
 DIMS = (5, 5, 5)
 random_dims = st.tuples(st.integers(3, 7), st.integers(3, 7), st.integers(3, 7))
@@ -354,7 +354,7 @@ def test_vjp_zero_upstream_is_zero():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((3,) + DIMS)
     zero = np.zeros((3,) + DIMS)
-    assert np.all(vjp_activate(x, zero) == 0.0)
+    assert np.all(vjp_activate(activate(PreActivationField(x)).values, zero) == 0.0)
     assert np.all(vjp_integrate(zero) == 0.0)
     img = Volume(rng.uniform(0, 1, (1,) + DIMS), dtype="f64")
     phi = random_field(rng)
@@ -380,9 +380,33 @@ def test_vjp_activate_matches_fd(seed, dims):
     def f(vals):
         return float(np.sum(activate(PreActivationField(vals)).values * upstream))
 
-    analytic = float(np.sum(vjp_activate(x, upstream) * direction))
-    fd = directional_fd(f, x, direction)
+    analytic = float(np.sum(vjp_activate(activate(PreActivationField(x)).values, upstream)
+                            * direction))
+    # fourth-order differences: at h = 1e-6 the rounding of f alone can exceed
+    # 1e-6 of a directional derivative that cancels (seed 3904, dims (3, 7, 7))
+    h = 1e-4
+    fd = (8.0 * (f(x + h * direction) - f(x - h * direction))
+          - (f(x + 2.0 * h * direction) - f(x - 2.0 * h * direction))) / (12.0 * h)
     assert rel_err(analytic, fd) < 1e-6
+
+
+def test_vjp_activate_matches_the_sigmoid_formula_bit_for_bit():
+    """The adjoint from ``g`` has the bits of the sigmoid form for +x and -x, the
+    two directions' parameters, saturated and clipped voxels and zeros' signs
+    included."""
+    rng = np.random.default_rng(20)
+    dims = (7, 16, 32)
+    x = np.concatenate([rng.normal(0.0, sigma, 1536) for sigma in (0.5, 20.0, 40.0, 200.0)]
+                       + [np.linspace(-800.0, 800.0, 1536), np.linspace(36.0, 38.0, 1536),
+                          np.linspace(-746.0, -700.0, 1536)])
+    x = x.reshape((3,) + dims)
+    upstream = rng.standard_normal((3,) + dims)
+    upstream.flat[::7] = 0.0
+    upstream.flat[::11] *= -0.0
+    for values in (x, -x):
+        got = vjp_activate(activate(PreActivationField(values)).values, upstream)
+        want = vjp_activate_ref(values, upstream)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_vjp_integrate_matches_fd():
