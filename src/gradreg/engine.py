@@ -154,21 +154,19 @@ class RegistrationConfig:
 
 @dataclass
 class StepForward:
-    """One refinement step's fields, sequential warps and loss.
+    """What the backward pass reads of one refinement step.
 
-    ``gs`` (the activated gradient fields, which the backward pass reads in
-    ``vjp_activate`` and the reg pullback), ``phis``, ``warps`` and
-    ``seg_warps`` (None without labels) are pairs in direction order (A-to-B,
-    B-to-A), as are ``terms``, each direction's five ``(value, pullback)``
-    pairs from ``direction_terms`` (no pullback for a term of weight 0), and
-    ``sampled``, what each direction's field sampled in its one gather, in
-    order: the image, any one-hot labels, then the other field's values.
+    ``gs`` (the activated gradient fields, which ``vjp_activate`` and the reg
+    pullback read) and ``phis`` are pairs in direction order (A-to-B, B-to-A),
+    as are ``terms``, each direction's five ``(value, pullback)`` pairs from
+    ``direction_terms`` (no pullback for a term of weight 0), and ``sampled``,
+    what each direction's field sampled in its one gather, in order: the
+    image, any one-hot labels, then the other field's values.  A step's warps
+    are the next step's sampled volumes; the last step's are the run's.
     """
 
     gs: tuple[GradientField, GradientField]
     phis: tuple[DeformationField, DeformationField]
-    warps: tuple[Volume, Volume]
-    seg_warps: tuple[Volume, Volume] | None
     breakdown: LossBreakdown
     terms: tuple[list[tuple], list[tuple]]
     sampled: tuple[list[np.ndarray], list[np.ndarray]]
@@ -189,20 +187,14 @@ def _check_pair(a: Volume, b: Volume, segs) -> None:
             )
 
 
-def _compose_steps(phis: list[DeformationField]) -> DeformationField:
-    """Compose per-step fields, each later step's field as the inner map."""
-    phi = phis[0]
-    for step_phi in phis[1:]:
-        phi = deform.compose(phi, step_phi)
-    return phi
-
-
 @dataclass
 class MultistepForward:
-    """All steps of one forward pass and their summed loss."""
+    """All steps of one forward pass, their summed loss and the last step's
+    warps: per direction, the warped image, then any warped one-hot labels."""
 
     steps: list[StepForward]
     breakdown: LossBreakdown
+    warps: tuple[tuple[Volume, ...], tuple[Volume, ...]]
 
 
 @dataclass
@@ -250,9 +242,9 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
     previous warped image, the previous warped one-hot labels and the other
     field, the outer map of its loss_inv composition.  The loss applies to
     every step's warped volumes against the original targets and the step
-    totals add up.  Each step keeps its fields and the sequential warps that
-    its loss saw.  The two directions of a step run side by side (``_both``):
-    first their fields, then their warps and loss terms.
+    totals add up.  Each step keeps what the backward pass reads, the run the
+    last step's warps.  The two directions of a step run side by side
+    (``_both``): first their fields, then their warps and loss terms.
     """
     if not deltas:
         raise ValueError("at least one parameter field is required")
@@ -266,12 +258,10 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
         gs, phis = zip(*_both(lambda d: _direction_fields(x, d), voxels))
         volumes, sampled, terms = zip(*_both(
             lambda d: _direction_loss(phis, d, volumes[d], targets[d], gs[d], weights), voxels))
-        warps, *labelled = zip(*volumes)
-        steps.append(StepForward(gs, phis, warps, labelled[0] if labelled else None,
-                                 sum_directions(terms, weights), terms, sampled))
+        steps.append(StepForward(gs, phis, sum_directions(terms, weights), terms, sampled))
     breakdown = LossBreakdown(*(sum(getattr(s.breakdown, f.name) for s in steps)
                                 for f in fields(LossBreakdown)))
-    return MultistepForward(steps, breakdown)
+    return MultistepForward(steps, breakdown, volumes)
 
 
 def _cotangent(terms: list[tuple | None], i: int, w: float) -> np.ndarray | None:
@@ -287,9 +277,11 @@ def _cotangent(terms: list[tuple | None], i: int, w: float) -> np.ndarray | None
     return cot
 
 
-def _backward(steps: list[StepForward], deltas: list[PreActivationField],
+def _backward(run: MultistepForward, deltas: list[PreActivationField],
               weights: LossWeights) -> list[np.ndarray]:
-    """Reverse-mode chain through every step, back to each parameter field.
+    """Reverse-mode chain through every step of ``run``, back to each parameter
+    field.  It consumes the run: the last warps go before the first sweep, as
+    no stage reads them, and each step's record once its turn is done.
 
     One sweep at direction d's field carries the sim, seg and inv cotangents,
     those of what it sampled (``step.sampled[d]``): the warped image, the warped
@@ -300,18 +292,19 @@ def _backward(steps: list[StepForward], deltas: list[PreActivationField],
     just before it adds it and the reg one just after ``vjp_integrate``.
     """
     ws = astuple(weights)
+    steps, run.warps = run.steps, None
     carry: list[list[np.ndarray | None]] = [[], []]
     grads: list[np.ndarray | None] = [None] * len(steps)
     voxels = math.prod(steps[0].phis[0].dims)
-    for k in range(len(steps) - 1, -1, -1):
-        step = steps[k]
+    for k in reversed(range(len(steps))):
+        step = steps.pop()
 
         def sweep(d: int):
             """The coordinate gradient at direction d's field, and the value
             gradients of the other field and of what it warped; the latter only
             matter if an earlier step warped it."""
             sim, seg, inv = (_cotangent(step.terms[d], i, ws[i]) for i in (0, 1, 4))
-            ups = [sim, inv] if step.seg_warps is None else [sim, seg, inv]
+            ups = [sim, inv] if len(step.sampled[d]) == 2 else [sim, seg, inv]
             for up, g in zip(ups, carry[d]):
                 if up is not None:
                     up += g
@@ -352,7 +345,7 @@ def objective_and_gradient(a: Volume, b: Volume, deltas: list[PreActivationField
                            config: RegistrationConfig, segs=None):
     """Total multistep loss and its exact gradient w.r.t. every delta field."""
     run = multistep_forward(a, b, deltas, config.weights, segs=segs)
-    grads = _backward(run.steps, deltas, config.weights)
+    grads = _backward(run, deltas, config.weights)
     return run.breakdown.total, grads
 
 
@@ -372,14 +365,15 @@ def _adam(a: Volume, b: Volume, config: RegistrationConfig,
         trace.append(run.breakdown)
         if not np.isfinite(run.breakdown.total):
             raise DivergenceError(f"objective became non-finite at iteration {t - 1}", trace)
-        grads = _backward(run.steps, deltas, config.weights)
+        grads = _backward(run, deltas, config.weights)
         for k, g in enumerate(grads):
-            m[k] = beta1 * m[k] + (1.0 - beta1) * g
-            v[k] = beta2 * v[k] + (1.0 - beta2) * (g * g)
-            m_hat = m[k] / (1.0 - beta1**t)
-            v_hat = v[k] / (1.0 - beta2**t)
-            update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-            values = deltas[k].values - update
+            with np.errstate(all="ignore"):  # the finiteness check below reports an overflow
+                m[k] = beta1 * m[k] + (1.0 - beta1) * g
+                v[k] = beta2 * v[k] + (1.0 - beta2) * (g * g)
+                m_hat = m[k] / (1.0 - beta1**t)
+                v_hat = v[k] / (1.0 - beta2**t)
+                update = config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                values = deltas[k].values - update
             if not np.all(np.isfinite(values)):  # as they are where the update is not
                 raise DivergenceError(f"parameters became non-finite at update {t}", trace)
             deltas[k] = PreActivationField(values, stride=config.control_stride)
@@ -397,19 +391,20 @@ def _final_pass(a: Volume, b: Volume, deltas: list[PreActivationField],
     """The result of one forward pass over ``deltas``: the composed step fields
     and the inputs warped once with them (with one step, the step's own).
 
-    No backward pass follows, so the pullbacks and their residual arrays go
-    before the fields are composed.
+    No backward pass follows, so the run goes, with its pullbacks and their
+    residual arrays, once its fields, loss and any warps it serves are read.
     """
     run = multistep_forward(a, b, deltas, config.weights, segs=segs)
     if not np.isfinite(run.breakdown.total):
         raise DivergenceError("objective became non-finite after the last update", trace)
-    for step in run.steps:
-        step.terms = None
-    phis = [_compose_steps([s.phis[d] for s in run.steps]) for d in (0, 1)]
-    warps = (run.steps[0].warps if len(run.steps) == 1
-             else tuple(map(deform.warp, (a, b), phis)))
-    return RegistrationResult(*phis, *warps, run.breakdown, deltas, trace, len(trace),
-                              converged)
+    step_phis = [[s.phis[d] for s in run.steps] for d in (0, 1)]
+    warps = [w for w, *_ in run.warps] if len(deltas) == 1 else None
+    breakdown = run.breakdown
+    del run
+    phis = [functools.reduce(deform.compose, p) for p in step_phis]
+    if warps is None:
+        warps = [deform.warp(v, phi) for v, phi in zip((a, b), phis)]
+    return RegistrationResult(*phis, *warps, breakdown, deltas, trace, len(trace), converged)
 
 
 def optimize(a: Volume, b: Volume, config: RegistrationConfig,

@@ -66,18 +66,19 @@ def loss_sim(warped: Volume, target: Volume):
 
 
 def loss_seg(seg_warped: Volume, seg_target: Volume):
-    """Channel-mean soft Dice loss of warped one-hot labels against the target's."""
+    """Channel-mean soft Dice loss of warped one-hot labels against the target's.
+    The pullback keeps the target and the channel sums, not the warped labels."""
     if seg_warped.channels != seg_target.channels or seg_warped.dims != seg_target.dims:
         raise ValueError(
             f"segmentation channel/shape mismatch: "
             f"{seg_warped.data.shape} vs {seg_target.data.shape}"
         )
-    p, q = seg_warped.data, seg_target.data
+    p, q, channels = seg_warped.data, seg_target.data, seg_warped.channels
     fractions = [(2.0 * float(np.sum(pc * qc)) + DICE_SMOOTH,
                   float(np.sum(pc)) + float(np.sum(qc)) + DICE_SMOOTH) for pc, qc in zip(p, q)]
-    value = sum(1.0 - num / den for num, den in fractions) / len(p)
+    value = sum(1.0 - num / den for num, den in fractions) / channels
     return value, lambda: np.stack([-(2.0 * qc * den - num) / (den * den)
-                                    for qc, (num, den) in zip(q, fractions)]) / len(p)
+                                    for qc, (num, den) in zip(q, fractions)]) / channels
 
 
 def loss_reg(g: GradientField):

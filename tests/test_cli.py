@@ -43,14 +43,19 @@ def run(*argv):
 # parser surface
 
 
+def checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports this gradreg."""
+    src = str(Path(gradreg.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def run_probe(code: str, timeout: float | None = None) -> str:
     """What a fresh interpreter running ``code`` with this gradreg prints; past
     ``timeout`` seconds it is killed with every process it started."""
-    src = str(Path(gradreg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    with subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+    with subprocess.Popen([sys.executable, "-c", code], env=checkout_env(),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          start_new_session=True) as proc:
         try:
             out, err = proc.communicate(timeout=timeout)
         except subprocess.TimeoutExpired:
@@ -343,16 +348,21 @@ def test_register_identical_pair_full_dice(workdir):
     assert len(trace) == 1 + TINY_CONFIG["iterations"]
 
 
-def test_register_non_finite_update_exit_2_keeps_the_trace(workdir, capsys):
+def test_register_non_finite_update_exit_2_keeps_the_trace(workdir):
+    """A run that diverges exits 2, writes its trace and prints its failure on
+    stderr, with no numpy warning before it."""
     rng = np.random.default_rng(1)
     write_volume(Volume(rng.uniform(0, 1, (1,) + DIMS).astype(np.float32)), workdir / "other")
     (workdir / "huge.json").write_text(json.dumps(dict(TINY_CONFIG, learning_rate=1.7e308)))
     out_dir = workdir / "reg"
-    with pytest.warns(RuntimeWarning):
-        code = run("register", "--fixed", workdir / "other", "--moving", workdir / "img",
-                   "--config", workdir / "huge.json", "--out-dir", out_dir)
-    assert code == 2
-    assert "numerical failure" in capsys.readouterr().err
+    proc = subprocess.run(
+        [sys.executable, "-m", "gradreg.cli", "register", "--fixed", str(workdir / "other"),
+         "--moving", str(workdir / "img"), "--config", str(workdir / "huge.json"),
+         "--out-dir", str(out_dir)], env=checkout_env(), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "reg: numerical failure: parameters became non-finite at update 2"]
     trace = (out_dir / "loss_trace.csv").read_text().strip().splitlines()
     assert trace[0] == "iteration,sim,seg,reg,jac,inv,total" and len(trace) >= 2
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,20 @@ def test_loss_seg_half_overlap():
     q[0, 2:6] = 1.0
     value = summed(loss_seg, (vol(p), vol(q)), (vol(p), vol(q)))
     assert value == pytest.approx(1.0, abs=1e-4)
+
+
+def test_loss_seg_pullback_keeps_no_warped_labels():
+    """The pullback holds the target and the per-channel sums, not the warped
+    labels, so they can go before the backward pass reaches the term."""
+    rng = np.random.default_rng(11)
+    warped = vol(rng.uniform(0, 1, (3,) + DIMS))
+    target = vol(rng.uniform(0, 1, (3,) + DIMS))
+    expected = loss_seg(vol(warped.data.copy()), target)[1]()
+    held = weakref.ref(warped.data)
+    _, pullback = loss_seg(warped, target)
+    del warped
+    assert held() is None
+    assert np.array_equal(pullback(), expected)
 
 
 def test_loss_seg_gradients_match_fd():
