@@ -280,6 +280,9 @@ def _cmd_metrics(args) -> int:
         raise _CliError(f"bad --labels list {args.labels!r}: {e}") from e
     if not label_set:
         raise _CliError("--labels must name at least one label id")
+    outside = [lid for lid in label_set if not 0 < lid <= np.iinfo(np.uint16).max]
+    if outside:
+        raise _CliError(f"--labels ids must be in 1..65535, got {outside}")
     pm = evaluate_pair(fixed_labels, warped_labels, field, label_set,
                        fixed_labels.spacing_mm)
     write_metrics_csv(args.out, [(args.pair_id, pm)])

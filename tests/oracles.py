@@ -9,7 +9,9 @@ determinant adjoint are the forms that the library's slab-wise determinant and
 adjoint replaced, kept for the same reason, as is the sigmoid form of the
 activation adjoint, which the library now takes from the activation's output;
 the noise reference steps the phantom's LCG one state at a time in Python
-integers.
+integers.  The finite-difference oracle at the end is the one difference that
+every adjoint test compares against; ``random_field`` is the perturbed identity
+that several suites draw.
 """
 
 import math
@@ -17,7 +19,14 @@ import math
 import numpy as np
 
 from gradreg.deform import (DeformationField, _cofactor, axis_gradient,
-                            axis_gradient_adjoint)
+                            axis_gradient_adjoint, identity_field)
+
+
+def random_field(rng, dims, scale) -> DeformationField:
+    """The identity of ``dims`` plus ``scale`` times standard normal noise."""
+    return DeformationField(
+        identity_field(dims).values + scale * rng.standard_normal((3,) + dims)
+    )
 
 
 def jacobian_matrix(phi: DeformationField) -> np.ndarray:
@@ -275,3 +284,31 @@ def lcg_normals_ref(seed, count):
     normals[0::2] = radius * np.cos(angle)
     normals[1::2] = radius * np.sin(angle)
     return normals[:count]
+
+
+# ---------------------------------------------------------------------------
+# the finite-difference oracle of every adjoint test
+
+
+def check_directional(f, x, direction, analytic, rel):
+    """Hold ``analytic``, a derivative of sum(f) at ``x`` along ``direction``, to a
+    central difference of step h = 1e-6.
+
+    ``f`` returns the terms whose sum is the objective: an array, or a list of
+    weighted loss values.  The check passes when
+    |analytic - fd| <= rel * max(|analytic|, |fd|) + eps * S / h,
+    with S the larger sum of absolute terms of the two evaluations: the second
+    part bounds the rounding of the difference itself, which a derivative that
+    cancels falls below.
+    """
+    h = 1e-6
+    sums, scale = [], 0.0
+    for step in (h, -h):
+        terms = np.asarray(f(x + step * direction), dtype=np.float64)
+        sums.append(float(np.sum(terms)))
+        scale = max(scale, float(np.sum(np.abs(terms))))
+    fd = (sums[0] - sums[1]) / (2.0 * h)
+    bound = rel * max(abs(analytic), abs(fd)) + np.finfo(np.float64).eps * scale / h
+    assert abs(analytic - fd) <= bound, (
+        f"finite difference {fd!r} against analytic {analytic!r}: "
+        f"error {abs(analytic - fd):.3g} above bound {bound:.3g}")

@@ -244,6 +244,18 @@ def test_metrics_absent_label(workdir):
     assert absent_row.split(",")[2] == "absent"
 
 
+@pytest.mark.parametrize("labels", ["0,1", "-3", "70000"])
+def test_metrics_label_outside_1_to_65535_exit_1(workdir, capsys, labels):
+    """The background 0 would join mean_dice; no u16 label map holds -3 or 70000."""
+    out = workdir / "metrics.csv"
+    assert run("metrics", "--fixed-labels", workdir / "labels",
+               "--warped-labels", workdir / "labels",
+               "--field", workdir / "ident", "--labels", labels,
+               "--out", out) == 1
+    assert "must be in 1..65535" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # phantom
 

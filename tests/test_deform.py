@@ -2,13 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gradreg import deform
 from gradreg.deform import (
     DeformationField,
     GradientField,
     PreActivationField,
+    SamplePlan,
     activate,
     axis_gradient,
     axis_gradient_adjoint,
@@ -29,17 +31,12 @@ from gradreg.deform import (
     warp_labels,
 )
 from gradreg.volume import LabelVolume, Volume
-from oracles import det_vjp_ref, jacobian_det_oracle, jacobian_matrix, vjp_activate_ref
+from oracles import (check_directional, det_vjp_ref, jacobian_det_oracle, jacobian_matrix,
+                     random_field, vjp_activate_ref)
 
 DIMS = (5, 5, 5)
 random_dims = st.tuples(st.integers(3, 7), st.integers(3, 7), st.integers(3, 7))
 seeds = st.integers(0, 2**32 - 1)
-
-
-def random_field(rng, dims=DIMS, scale=1.0):
-    return DeformationField(
-        identity_field(dims).values + scale * rng.standard_normal((3,) + dims)
-    )
 
 
 def random_gradient(rng, dims=DIMS):
@@ -172,7 +169,7 @@ def test_warp_range_bounded_by_input():
     rng = np.random.default_rng(4)
     img = Volume(rng.uniform(-3, 9, (1,) + DIMS), dtype="f64")
     for _ in range(10):
-        out = warp(img, random_field(rng, scale=2.0))
+        out = warp(img, random_field(rng, DIMS, 2.0))
         assert out.data.min() >= img.data.min() - 1e-12
         assert out.data.max() <= img.data.max() + 1e-12
 
@@ -216,7 +213,7 @@ def test_warp_labels_subset_property():
     labels = rng.integers(0, 5, DIMS).astype(np.uint16)
     lv = LabelVolume(labels)
     for _ in range(10):
-        out = warp_labels(lv, random_field(rng, scale=3.0))
+        out = warp_labels(lv, random_field(rng, DIMS, 3.0))
         assert set(np.unique(out.labels)) <= set(np.unique(labels))
 
 
@@ -226,7 +223,7 @@ def test_warp_labels_subset_property():
 
 def test_compose_identity_inner_exact():
     rng = np.random.default_rng(7)
-    phi = random_field(rng)
+    phi = random_field(rng, DIMS, 1.0)
     out = compose(phi, identity_field(DIMS))
     assert np.array_equal(out.values, phi.values)
 
@@ -271,7 +268,7 @@ def test_jacobian_det_identity_and_scaling():
 def test_jacobian_det_matches_cofactor_oracle_exactly():
     rng = np.random.default_rng(9)
     for _ in range(10):
-        phi = random_field(rng, dims=(4, 5, 6), scale=1.5)
+        phi = random_field(rng, (4, 5, 6), 1.5)
         ours = jacobian_det(phi).data[0]
         assert np.array_equal(ours, jacobian_det_oracle(phi))
 
@@ -281,7 +278,7 @@ def test_slab_determinant_equals_the_whole_matrix_bit_for_bit():
     # 29 * 26 * 23 ends in a 2-row slab; 3 * 200 * 100 has more than _TILE samples per row
     for dims in ((48, 48, 48), (64, 64, 64), (3, 4, 5), (5, 3, 7), (29, 26, 23), (4, 9, 9),
                  (3, 200, 100)):
-        phi = random_field(rng, dims=dims, scale=0.8)
+        phi = random_field(rng, dims, 0.8)
         want = det3x3(jacobian_matrix(phi))
         for got in (jacobian_det_values(phi), jacobian_det(phi).data[0]):
             assert got.shape == dims
@@ -293,7 +290,7 @@ def test_slab_det_vjp_equals_the_whole_matrix_adjoint_bit_for_bit():
     # 20 * 130 * 130 has more than _TILE samples per row and three 8-row slabs
     for dims in ((48, 48, 48), (64, 64, 64), (3, 4, 5), (5, 3, 7), (29, 26, 23), (4, 9, 9),
                  (3, 200, 100), (20, 130, 130)):
-        phi = random_field(rng, dims=dims, scale=0.8)
+        phi = random_field(rng, dims, 0.8)
         matrix = jacobian_matrix(phi)
         det = det3x3(matrix)
         assert (det < 0.0).any(), dims
@@ -308,7 +305,7 @@ def test_slab_det_vjp_equals_the_whole_matrix_adjoint_bit_for_bit():
 
 def test_det_vjp_peak_stays_below_the_whole_matrix():
     dims = (64, 64, 64)
-    phi = random_field(np.random.default_rng(19), dims=dims, scale=0.8)
+    phi = random_field(np.random.default_rng(19), dims, 0.8)
     upstream = np.random.default_rng(20).standard_normal(dims)
     tracemalloc.start()
     try:
@@ -341,15 +338,6 @@ def test_jacobian_det_affine_field():
 # adjoints vs directional finite differences
 
 
-def directional_fd(f, x, direction, h=1e-6):
-    return (f(x + h * direction) - f(x - h * direction)) / (2.0 * h)
-
-
-def rel_err(a, b):
-    denom = max(abs(a), abs(b), 1e-12)
-    return abs(a - b) / denom
-
-
 def test_vjp_zero_upstream_is_zero():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((3,) + DIMS)
@@ -357,7 +345,7 @@ def test_vjp_zero_upstream_is_zero():
     assert np.all(vjp_activate(activate(PreActivationField(x)).values, zero) == 0.0)
     assert np.all(vjp_integrate(zero) == 0.0)
     img = Volume(rng.uniform(0, 1, (1,) + DIMS), dtype="f64")
-    phi = random_field(rng)
+    phi = random_field(rng, DIMS, 1.0)
     coords_grad, (values_grad,) = vjp_sample(phi, [img.data], [np.zeros((1,) + DIMS)], [True])
     assert np.all(coords_grad == 0.0)
     assert np.all(values_grad == 0.0)
@@ -371,6 +359,7 @@ def test_vjp_integrate_impulse_gives_suffix_ones():
 
 
 @given(seeds, random_dims)
+@example(3904, (3, 7, 7))  # a derivative that cancels below a plain relative bound
 def test_vjp_activate_matches_fd(seed, dims):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((3,) + dims)
@@ -378,16 +367,11 @@ def test_vjp_activate_matches_fd(seed, dims):
     direction = rng.standard_normal((3,) + dims)
 
     def f(vals):
-        return float(np.sum(activate(PreActivationField(vals)).values * upstream))
+        return activate(PreActivationField(vals)).values * upstream
 
     analytic = float(np.sum(vjp_activate(activate(PreActivationField(x)).values, upstream)
                             * direction))
-    # fourth-order differences: at h = 1e-6 the rounding of f alone can exceed
-    # 1e-6 of a directional derivative that cancels (seed 3904, dims (3, 7, 7))
-    h = 1e-4
-    fd = (8.0 * (f(x + h * direction) - f(x - h * direction))
-          - (f(x + 2.0 * h * direction) - f(x - 2.0 * h * direction))) / (12.0 * h)
-    assert rel_err(analytic, fd) < 1e-6
+    check_directional(f, x, direction, analytic, 1e-6)
 
 
 def test_vjp_activate_matches_the_sigmoid_formula_bit_for_bit():
@@ -416,81 +400,103 @@ def test_vjp_integrate_matches_fd():
     direction = rng.standard_normal((3,) + DIMS) * 1e-2
 
     def f(vals):
-        return float(np.sum(integrate(GradientField(vals)).values * upstream))
+        return integrate(GradientField(vals)).values * upstream
 
     analytic = float(np.sum(vjp_integrate(upstream) * direction))
-    fd = directional_fd(f, g.values, direction)
-    assert rel_err(analytic, fd) < 1e-6
+    check_directional(f, g.values, direction, analytic, 1e-6)
 
 
 def test_vjp_warp_matches_fd():
     rng = np.random.default_rng(14)
     img = Volume(rng.uniform(0, 1, (2,) + DIMS), dtype="f64")
-    phi = random_field(rng, scale=0.4)
+    phi = random_field(rng, DIMS, 0.4)
     upstream = rng.standard_normal((2,) + DIMS)
     direction = rng.standard_normal((3,) + DIMS)
 
     def f(vals):
-        return float(np.sum(warp(img, DeformationField(vals)).data * upstream))
+        return warp(img, DeformationField(vals)).data * upstream
 
     coords_grad, _ = vjp_sample(phi, [img.data], [upstream], [False])
     analytic = float(np.sum(coords_grad * direction))
-    fd = directional_fd(f, phi.values, direction)
-    assert rel_err(analytic, fd) < 1e-6
+    check_directional(f, phi.values, direction, analytic, 1e-6)
 
 
 def test_vjp_warp_image_matches_fd():
     rng = np.random.default_rng(15)
     img_vals = rng.uniform(0, 1, (2,) + DIMS)
-    phi = random_field(rng, scale=0.4)
+    phi = random_field(rng, DIMS, 0.4)
     upstream = rng.standard_normal((2,) + DIMS)
     direction = rng.standard_normal((2,) + DIMS)
 
     def f(vals):
-        return float(
-            np.sum(warp(Volume(vals, dtype="f64"), phi).data * upstream)
-        )
+        return warp(Volume(vals, dtype="f64"), phi).data * upstream
 
     _, (values_grad,) = vjp_sample(phi, [img_vals], [upstream], [True])
     analytic = float(np.sum(values_grad * direction))
-    fd = directional_fd(f, img_vals, direction)
-    assert rel_err(analytic, fd) < 1e-6
+    check_directional(f, img_vals, direction, analytic, 1e-6)
+
+
+def test_image_value_check_rejects_a_scatter_missing_a_corner(monkeypatch):
+    scatter = SamplePlan.scatter
+
+    def scatter_without_last_corner(plan, upstream):
+        plan.offsets = plan.offsets[:-1]  # a plan lives for one call
+        return scatter(plan, upstream)
+
+    monkeypatch.setattr(SamplePlan, "scatter", scatter_without_last_corner)
+    with pytest.raises(AssertionError, match="finite difference"):
+        test_vjp_warp_image_matches_fd()
 
 
 def test_vjp_compose_matches_fd():
     rng = np.random.default_rng(16)
-    outer = random_field(rng, scale=0.4)
-    inner = random_field(rng, scale=0.4)
+    outer = random_field(rng, DIMS, 0.4)
+    inner = random_field(rng, DIMS, 0.4)
     upstream = rng.standard_normal((3,) + DIMS)
     d_outer = rng.standard_normal((3,) + DIMS)
     d_inner = rng.standard_normal((3,) + DIMS)
     gi, (go,) = vjp_sample(inner, [outer.values], [upstream], [True])
 
     def f_outer(vals):
-        return float(np.sum(compose(DeformationField(vals), inner).values * upstream))
+        return compose(DeformationField(vals), inner).values * upstream
 
     def f_inner(vals):
-        return float(np.sum(compose(outer, DeformationField(vals)).values * upstream))
+        return compose(outer, DeformationField(vals)).values * upstream
 
-    assert rel_err(float(np.sum(go * d_outer)),
-                   directional_fd(f_outer, outer.values, d_outer)) < 1e-6
-    assert rel_err(float(np.sum(gi * d_inner)),
-                   directional_fd(f_inner, inner.values, d_inner)) < 1e-6
+    check_directional(f_outer, outer.values, d_outer, float(np.sum(go * d_outer)), 1e-6)
+    check_directional(f_inner, inner.values, d_inner, float(np.sum(gi * d_inner)), 1e-6)
 
 
 @given(seeds, random_dims)
+@example(1611627423, (5, 4, 7))  # two derivatives that cancel below a plain relative bound
+@example(3083171157, (4, 3, 6))
 def test_jacobian_det_vjp_matches_fd(seed, dims):
     rng = np.random.default_rng(seed)
-    phi = random_field(rng, dims, scale=0.8)
+    phi = random_field(rng, dims, 0.8)
     upstream = rng.standard_normal(dims)
     direction = rng.standard_normal((3,) + dims)
 
     def f(vals):
-        return float(np.sum(jacobian_det(DeformationField(vals)).data[0] * upstream))
+        return jacobian_det(DeformationField(vals)).data[0] * upstream
 
     analytic = float(np.sum(det_vjp(phi, upstream) * direction))
-    fd = directional_fd(f, phi.values, direction)
-    assert rel_err(analytic, fd) < 1e-6
+    check_directional(f, phi.values, direction, analytic, 1e-6)
+
+
+def test_det_check_rejects_an_adjoint_missing_a_border_term(monkeypatch):
+    adjoint = deform.axis_gradient_adjoint
+
+    def without_last_border_term(u, axis):
+        g = adjoint(u, axis)
+        np.moveaxis(g, axis, 0)[-2] += np.moveaxis(u, axis, 0)[-1]  # undo its last line
+        return g
+
+    monkeypatch.setattr(deform, "axis_gradient_adjoint", without_last_border_term)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        seed, dims = int(rng.integers(2**32)), tuple(int(n) for n in rng.integers(3, 8, 3))
+        with pytest.raises(AssertionError, match="finite difference"):
+            test_jacobian_det_vjp_matches_fd.hypothesis.inner_test(seed, dims)
 
 
 def test_vjp_upsample_matches_fd():
@@ -502,16 +508,12 @@ def test_vjp_upsample_matches_fd():
     direction = rng.standard_normal((3, 3, 3, 3))
 
     def f(vals):
-        return float(
-            np.sum(upsample(PreActivationField(vals, stride=stride), image_dims).values
-                   * upstream)
-        )
+        return upsample(PreActivationField(vals, stride=stride), image_dims).values * upstream
 
     analytic = float(
         np.sum(vjp_upsample(upstream, stride, (3, 3, 3)) * direction)
     )
-    fd = directional_fd(f, control, direction)
-    assert rel_err(analytic, fd) < 1e-6
+    check_directional(f, control, direction, analytic, 1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from gradreg.losses import (
     sum_directions,
 )
 from gradreg.volume import LabelVolume, Volume, one_hot
-from oracles import det_vjp_ref, inv_interior_ref, jacobian_matrix
+from oracles import (check_directional, det_vjp_ref, inv_interior_ref, jacobian_matrix,
+                     random_field)
 
 DIMS = (5, 5, 5)
 
@@ -30,24 +31,14 @@ def const_vol(value, channels=1, dims=DIMS):
     return vol(np.full((channels,) + dims, float(value)))
 
 
-def random_field(rng, scale=0.4, dims=DIMS):
-    return DeformationField(
-        identity_field(dims).values + scale * rng.standard_normal((3,) + dims)
-    )
+def terms(term, ab, ba):
+    """A one-direction term's values at two directions' arguments, A-to-B first."""
+    return [term(*ab)[0], term(*ba)[0]]
 
 
 def summed(term, ab, ba):
     """A one-direction term's value summed over two directions' arguments."""
-    return term(*ab)[0] + term(*ba)[0]
-
-
-def fd_check(f, x, analytic, rng, n_dirs=3, h=1e-6, tol=1e-5):
-    """Directional finite differences against an analytic gradient array."""
-    for _ in range(n_dirs):
-        d = rng.standard_normal(x.shape)
-        fd = (f(x + h * d) - f(x - h * d)) / (2.0 * h)
-        an = float(np.sum(analytic * d))
-        assert abs(an - fd) / max(abs(an), abs(fd), 1e-12) < tol
+    return sum(terms(term, ab, ba))
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +70,11 @@ def test_loss_sim_matches_brute_force():
     assert value == pytest.approx(acc, abs=1e-12)
 
     def f(x):
-        return summed(loss_sim, (vol(x), b), (bw, a))
+        return terms(loss_sim, (vol(x), b), (bw, a))
 
-    fd_check(f, aw.data, pullback(), rng)
+    grad = pullback()
+    for d in rng.standard_normal((3,) + grad.shape):
+        check_directional(f, aw.data, d, float(np.sum(grad * d)), 1e-5)
 
 
 def test_loss_sim_shape_mismatch():
@@ -143,9 +136,29 @@ def test_loss_seg_gradients_match_fd():
     _, pullback = loss_seg(vol(p), vol(q))
 
     def f(x):
-        return summed(loss_seg, (vol(x), vol(q)), (vol(p2), vol(q2)))
+        return terms(loss_seg, (vol(x), vol(q)), (vol(p2), vol(q2)))
 
-    fd_check(f, p, pullback(), rng)
+    grad = pullback()
+    for d in rng.standard_normal((3,) + grad.shape):
+        check_directional(f, p, d, float(np.sum(grad * d)), 1e-5)
+
+
+def test_seg_check_rejects_a_pullback_missing_a_channel(monkeypatch):
+    real = loss_seg
+
+    def loss_seg_without_last_channel(seg_warped, seg_target):
+        value, pullback = real(seg_warped, seg_target)
+
+        def dropped():
+            cotangent = pullback()
+            cotangent[-1] = 0.0
+            return cotangent
+
+        return value, dropped
+
+    monkeypatch.setitem(globals(), "loss_seg", loss_seg_without_last_channel)
+    with pytest.raises(AssertionError, match="finite difference"):
+        test_loss_seg_gradients_match_fd()
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +187,11 @@ def test_loss_reg_matches_brute_force_and_fd():
     assert value == pytest.approx(acc, abs=1e-12)
 
     def f(x):
-        return summed(loss_reg, (GradientField(x),), (g_ba,))
+        return terms(loss_reg, (GradientField(x),), (g_ba,))
 
-    fd_check(f, g_ab.values, pullback(), rng)
+    grad = pullback()
+    for d in rng.standard_normal((3,) + grad.shape):
+        check_directional(f, g_ab.values, d, float(np.sum(grad * d)), 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +221,8 @@ def test_loss_jac_single_negative_voxel():
 def test_loss_jac_matches_hinge_oracle():
     rng = np.random.default_rng(5)
     for _ in range(5):
-        phi_ab = random_field(rng, scale=1.2)
-        phi_ba = random_field(rng, scale=1.2)
+        phi_ab = random_field(rng, DIMS, 1.2)
+        phi_ba = random_field(rng, DIMS, 1.2)
         value = summed(loss_jac, (phi_ab,), (phi_ba,))
         acc = 0.0
         n = np.prod(DIMS)
@@ -220,22 +235,24 @@ def test_loss_jac_matches_hinge_oracle():
 
 def test_loss_jac_gradients_match_fd():
     rng = np.random.default_rng(6)
-    phi_ab = random_field(rng, scale=1.2)
-    phi_ba = random_field(rng, scale=1.2)
+    phi_ab = random_field(rng, DIMS, 1.2)
+    phi_ba = random_field(rng, DIMS, 1.2)
     det = deform.jacobian_det(phi_ab).data[0]
     assert (det < 0).any(), "instance must exercise the hinge"
     _, pullback = loss_jac(phi_ab)
 
     def f(x):
-        return summed(loss_jac, (DeformationField(x),), (phi_ba,))
+        return terms(loss_jac, (DeformationField(x),), (phi_ba,))
 
-    fd_check(f, phi_ab.values, pullback(), rng, h=1e-7)
+    grad = pullback()
+    for d in rng.standard_normal((3,) + grad.shape):
+        check_directional(f, phi_ab.values, d, float(np.sum(grad * d)), 1e-5)
 
 
 def test_loss_jac_pullback_skips_det_vjp_without_folds(monkeypatch):
     rng = np.random.default_rng(11)
-    phi_ab = random_field(rng, scale=0.05)
-    phi_ba = random_field(rng, scale=0.05)
+    phi_ab = random_field(rng, DIMS, 0.05)
+    phi_ba = random_field(rng, DIMS, 0.05)
     assert np.all(deform.jacobian_det(phi_ab).data > 0)
     assert np.all(deform.jacobian_det(phi_ba).data > 0)
     (v_ab, pb_ab), (v_ba, pb_ba) = loss_jac(phi_ab), loss_jac(phi_ba)
@@ -268,10 +285,10 @@ def test_loss_jac_pullback_of_one_fold_equals_det_vjp_bit_for_bit():
 # inverse consistency
 
 
-def inv_pair(phi_ab, phi_ba):
+def inv_terms(phi_ab, phi_ba):
     """loss_inv of both directions: direction d composes the other field with its own."""
     ab, ba = compositions((phi_ab, phi_ba))
-    return summed(loss_inv, (ab,), (ba,))
+    return terms(loss_inv, (ab,), (ba,))
 
 
 def compositions(phis):
@@ -295,7 +312,7 @@ def inv_field_grads(phi_ab, phi_ba):
 
 def test_loss_inv_identity_zero():
     ident = identity_field(DIMS)
-    value = inv_pair(ident, ident)
+    value = sum(inv_terms(ident, ident))
     assert value == 0.0
     assert np.all(inv_field_grads(ident, ident)[0] == 0.0)
 
@@ -320,14 +337,14 @@ def test_loss_inv_translation_same_direction():
     value = sum(inv_interior_ref(c, 3) for c in compositions((phi, phi)))
     assert value == pytest.approx(2.0 * 4.0 / 3.0, abs=1e-9)
     # over every voxel the reference is loss_inv's value
-    assert inv_pair(phi, phi) == pytest.approx(
+    assert sum(inv_terms(phi, phi)) == pytest.approx(
         sum(inv_interior_ref(c, 0) for c in compositions((phi, phi))), rel=1e-12)
 
 
 def test_loss_inv_matches_the_identity_field_formula_bit_for_bit():
     rng = np.random.default_rng(12)
     dims = (7, 6, 8)
-    outer, inner = random_field(rng, scale=0.8, dims=dims), random_field(rng, scale=0.8, dims=dims)
+    outer, inner = random_field(rng, dims, 0.8), random_field(rng, dims, 0.8)
     # the residual against np.indices, as a separate array
     resid = deform.compose(outer, inner).values - identity_field(dims).values
     count = float(resid.size)
@@ -341,18 +358,19 @@ def test_loss_inv_matches_the_identity_field_formula_bit_for_bit():
 
 def test_loss_inv_gradients_match_fd():
     rng = np.random.default_rng(7)
-    phi_ab = random_field(rng, scale=0.3)
-    phi_ba = random_field(rng, scale=0.3)
+    phi_ab = random_field(rng, DIMS, 0.3)
+    phi_ba = random_field(rng, DIMS, 0.3)
     g_ab, g_ba = inv_field_grads(phi_ab, phi_ba)
 
     def f_ab(x):
-        return inv_pair(DeformationField(x), phi_ba)
+        return inv_terms(DeformationField(x), phi_ba)
 
     def f_ba(x):
-        return inv_pair(phi_ab, DeformationField(x))
+        return inv_terms(phi_ab, DeformationField(x))
 
-    fd_check(f_ab, phi_ab.values, g_ab, rng)
-    fd_check(f_ba, phi_ba.values, g_ba, rng)
+    for f, x, grad in ((f_ab, phi_ab.values, g_ab), (f_ba, phi_ba.values, g_ba)):
+        for d in rng.standard_normal((3,) + grad.shape):
+            check_directional(f, x, d, float(np.sum(grad * d)), 1e-5)
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +408,7 @@ def test_loss_total_weighted_recombination():
     rng = np.random.default_rng(9)
     a_warp, b, b_warp, a = (vol(rng.uniform(0, 1, (1,) + DIMS)) for _ in range(4))
     gs = tuple(GradientField(rng.uniform(0.2, 1.8, (3,) + DIMS)) for _ in range(2))
-    phis = tuple(random_field(rng, scale=0.8) for _ in range(2))
+    phis = tuple(random_field(rng, DIMS, 0.8) for _ in range(2))
     w = LossWeights(1.0, 1.0, 0.1, 0.01, 10.0)
     bd = sum_directions(both_directions((a_warp, b_warp), (b, a), gs, phis), w)
     assert bd.seg == 0.0  # unsupervised mode
@@ -419,7 +437,7 @@ def test_loss_total_returns_both_directions_terms_in_order():
     # without labels seg is (0.0, None); folding fields have a jac pullback
     a, ones, _, _ = identity_inputs()
     rng = np.random.default_rng(6)
-    phis = (random_field(rng, scale=1.2), random_field(rng, scale=1.2))
+    phis = (random_field(rng, DIMS, 1.2), random_field(rng, DIMS, 1.2))
     assert all((deform.jacobian_det(phi).data < 0).any() for phi in phis)
     for direction in both_directions((a, a), (a, a), (ones, ones), phis):
         assert direction[1] == (0.0, None)
@@ -434,8 +452,8 @@ def test_loss_total_swap_symmetry():
     bw = vol(rng.uniform(0, 1, (1,) + DIMS))
     g1 = GradientField(rng.uniform(0.2, 1.8, (3,) + DIMS))
     g2 = GradientField(rng.uniform(0.2, 1.8, (3,) + DIMS))
-    p1 = random_field(rng)
-    p2 = random_field(rng)
+    p1 = random_field(rng, DIMS, 0.4)
+    p2 = random_field(rng, DIMS, 0.4)
     w = LossWeights(1, 0, 0.1, 0.01, 10)
     bd = sum_directions(both_directions((aw, bw), (b, a), (g1, g2), (p1, p2)), w)
     swapped = sum_directions(both_directions((bw, aw), (a, b), (g2, g1), (p2, p1)), w)

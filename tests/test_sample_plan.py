@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from gradreg import deform
 from gradreg.deform import DeformationField, PreActivationField, SamplePlan
 from gradreg.volume import Volume
-from oracles import sample_trilinear_ref, sample_vjp_ref, upsample_ref, vjp_upsample_ref
+from oracles import (check_directional, sample_trilinear_ref, sample_vjp_ref, upsample_ref,
+                     vjp_upsample_ref)
 
 side = st.integers(1, 6)
 cases = st.fixed_dictionaries({
@@ -46,17 +47,13 @@ def test_coords_grad_matches_central_differences(case):
     coords = draw_coords(rng, dims, case["shape"])
     v = rng.standard_normal((case["channels"],) + dims)
     u = rng.standard_normal((case["channels"],) + case["shape"])
-    direction = [rng.standard_normal(c.shape) for c in coords]
-    h = 1e-6
+    direction = rng.standard_normal(coords.shape)
 
-    def f(t):
-        moved = [c + t * d for c, d in zip(coords, direction)]
-        return float(np.sum(SamplePlan(moved, dims).gather([v])[0] * u))
+    def f(moved):
+        return SamplePlan(moved, dims).gather([v])[0] * u
 
-    grad = SamplePlan(coords, dims).coords_grad(v, u)
-    analytic = sum(float(np.sum(g * d)) for g, d in zip(grad, direction))
-    fd = (f(h) - f(-h)) / (2.0 * h)
-    assert abs(analytic - fd) <= 1e-6 * max(1.0, abs(fd))
+    analytic = float(np.sum(SamplePlan(coords, dims).coords_grad(v, u) * direction))
+    check_directional(f, coords, direction, analytic, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +66,7 @@ def assert_same_bits(got, want):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
-def random_field(rng, dims):
+def integrated_field(rng, dims):
     """An integrated field, C-contiguous as in registration, reaching past the border."""
     control = deform.control_dims_for(dims, 2)
     delta = PreActivationField(rng.normal(0.0, 1.5, (3,) + control), stride=2)
@@ -86,9 +83,9 @@ def test_plan_matches_reference_formulas_bit_for_bit():
 
 
 def check_plan_against_reference(rng, dims):
-    phi = random_field(rng, dims)
+    phi = integrated_field(rng, dims)
     # a C-contiguous, non-monotone outer field
-    other = DeformationField(random_field(rng, dims).values
+    other = DeformationField(integrated_field(rng, dims).values
                              + rng.uniform(-1.5, 1.5, (3,) + dims))
     assert phi.values.flags.c_contiguous and other.values.flags.c_contiguous
     coords = tuple(phi.values)
@@ -127,7 +124,7 @@ def check_plan_against_reference(rng, dims):
 def test_one_sample_call_equals_separate_warps_and_compose_bit_for_bit():
     rng = np.random.default_rng(6)
     for dims in ((29, 26, 23), (7, 1, 5)):
-        phi, other = random_field(rng, dims), random_field(rng, dims)
+        phi, other = integrated_field(rng, dims), integrated_field(rng, dims)
         image = Volume(rng.uniform(0.0, 1.0, (1,) + dims), dtype="f64")
         labels = Volume(rng.uniform(0.0, 1.0, (3,) + dims), dtype="f64")
         outs = deform.sample(phi, [image.data, labels.data, other.values])
@@ -238,7 +235,7 @@ def test_scatter_peak_is_its_output_plus_block_rows():
     """No (8, N) weight table: that alone is 64 B per sample."""
     dims = (64, 64, 64)
     rng = np.random.default_rng(21)
-    phi = random_field(rng, dims)
+    phi = integrated_field(rng, dims)
     plan = SamplePlan(phi.values, dims)
     upstream = rng.standard_normal((3,) + dims)
     tracemalloc.start()
@@ -262,7 +259,7 @@ def test_one_plan_per_sampling_call(monkeypatch):
 
     rng = np.random.default_rng(5)
     dims = (6, 6, 6)
-    phi, outer = random_field(rng, dims), random_field(rng, dims)
+    phi, outer = integrated_field(rng, dims), integrated_field(rng, dims)
     monkeypatch.setattr(deform, "SamplePlan", CountingPlan)
     img = Volume(rng.uniform(0.0, 1.0, (1,) + dims), dtype="f64")
     sources = [img.data, rng.uniform(0.0, 1.0, (3,) + dims), outer.values]
@@ -286,7 +283,7 @@ def test_a_field_written_in_place_is_sampled_at_its_new_values():
     place, a warp is bit for bit that of a new field with those values."""
     rng = np.random.default_rng(6)
     dims = (7, 6, 5)
-    phi = random_field(rng, dims)
+    phi = integrated_field(rng, dims)
     img = Volume(rng.uniform(0.0, 1.0, (2,) + dims), dtype="f64")
     before = deform.warp(img, phi).data
     phi.values += rng.uniform(-1.5, 1.5, phi.values.shape)
