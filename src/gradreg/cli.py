@@ -118,9 +118,6 @@ def _pair_name(job: dict) -> str:
 def _register_one(job: dict) -> str:
     moving = _read_image(job["moving"])
     fixed = _read_image(job["fixed"])
-    out_dir = Path(job["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     moving_labels = fixed_labels = None
     segs = None
     label_set: list[int] = []
@@ -132,6 +129,8 @@ def _register_one(job: dict) -> str:
             segs = (one_hot(moving_labels, label_set), one_hot(fixed_labels, label_set))
     elif job.get("moving_labels") or job.get("fixed_labels"):
         raise _CliError("give both --moving-labels and --fixed-labels or neither")
+    out_dir = Path(job["out_dir"])  # made only once every input has been read
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     try:
         result = register_pair(moving, fixed, job["config"], segs=segs,

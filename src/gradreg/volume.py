@@ -314,27 +314,15 @@ def largest_component(l: LabelVolume, label: int) -> LabelVolume:
     untouched; an absent label is a no-op.
     """
     from scipy import ndimage
-    mask = l.labels == label
-    if label == 0 or not mask.any():
-        return LabelVolume(l.labels.copy(), spacing_mm=l.spacing_mm,
-                           label_names=l.label_names)
-    comp, ncomp = ndimage.label(mask, structure=ndimage.generate_binary_structure(3, 1))
-    if ncomp <= 1:
-        return LabelVolume(l.labels.copy(), spacing_mm=l.spacing_mm,
-                           label_names=l.label_names)
-    sizes = np.bincount(comp.ravel())
-    sizes[0] = 0
-    best = np.flatnonzero(sizes == sizes.max())
-    if len(best) > 1:
-        seeds = []
-        for cid in best:
-            coords = np.nonzero(comp == cid)
-            seeds.append(np.ravel_multi_index(coords, l.dims, order="F").min())
-        keep = best[int(np.argmin(seeds))]
-    else:
-        keep = best[0]
     out = l.labels.copy()
-    out[mask & (comp != keep)] = 0
+    mask = out == label
+    if label != 0 and mask.any():
+        comp, _ = ndimage.label(mask, structure=ndimage.generate_binary_structure(3, 1))
+        sizes = np.bincount(comp.ravel())
+        sizes[0] = 0
+        best = np.flatnonzero(sizes == sizes.max())
+        flat = comp.ravel(order="F")  # x-fastest, so the first hit is the tie-break
+        out[mask & (comp != flat[np.isin(flat, best).argmax()])] = 0
     return LabelVolume(out, spacing_mm=l.spacing_mm, label_names=l.label_names)
 
 

@@ -11,7 +11,8 @@ activation adjoint, which the library now takes from the activation's output;
 the noise reference steps the phantom's LCG one state at a time in Python
 integers.  The finite-difference oracle at the end is the one difference that
 every adjoint test compares against; ``random_field`` is the perturbed identity
-that several suites draw.
+that several suites draw, ``edge_safe_field`` the same kept off the cell edges
+where a sampled coordinate's difference would straddle a kink.
 """
 
 import math
@@ -27,6 +28,15 @@ def random_field(rng, dims, scale) -> DeformationField:
     return DeformationField(
         identity_field(dims).values + scale * rng.standard_normal((3,) + dims)
     )
+
+
+def edge_safe_field(rng, dims, scale) -> DeformationField:
+    """``random_field`` with every value moved to at least 0.01 from every
+    integer, so that trilinear sampling at it stays on one cell (and on one
+    side of the clamp) within any step of a finite difference."""
+    values = random_field(rng, dims, scale).values
+    whole = np.floor(values)
+    return DeformationField(whole + np.clip(values - whole, 0.01, 0.99))
 
 
 def jacobian_matrix(phi: DeformationField) -> np.ndarray:

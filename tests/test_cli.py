@@ -392,6 +392,16 @@ def test_register_requires_both_label_flags(workdir, capsys):
                "--config", workdir / "config.json",
                "--out-dir", workdir / "reg") == 1
     assert "both" in capsys.readouterr().err
+    assert not (workdir / "reg").exists()
+
+
+def test_register_missing_labels_file_exit_1_makes_no_out_dir(workdir, capsys):
+    assert run("register", "--fixed", workdir / "img", "--moving", workdir / "img",
+               "--moving-labels", workdir / "labels", "--fixed-labels", workdir / "absent",
+               "--config", workdir / "config.json",
+               "--out-dir", workdir / "reg") == 1
+    assert "absent" in capsys.readouterr().err
+    assert not (workdir / "reg").exists()
 
 
 def test_register_batch_jobs_bit_identical(workdir):

@@ -242,6 +242,23 @@ def test_gradient_check_zero_weights_guarded():
     assert report["all"] == 0.0
 
 
+def test_gradient_check_runs_one_probe_pair_per_coordinate(monkeypatch):
+    """Two forward passes per parameter coordinate serve all six reports, plus
+    one per report for its analytic gradient."""
+    calls = []
+    inner = engine.multistep_forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "multistep_forward", counted)
+    config = RegistrationConfig(steps=2, control_stride=2)
+    gradient_check((4, 4, 4), config)
+    entries = config.steps * 3 * math.prod(deform.control_dims_for((4, 4, 4), 2))
+    assert len(calls) == 2 * entries + 6
+
+
 def test_directional_gradient_check_at_benchmark_size():
     # the 48^3 three-ellipsoid phantom with labels at steps=2; stride 5 does not divide 48
     spec = PhantomSpec(
