@@ -21,14 +21,17 @@ scatter one corner's row per block for every channel, so no (8, N) table is
 built.  Every pass runs over one contiguous (N,) channel plane at a time, and
 every field, gradient and warp is a C-contiguous stack of such planes.  The
 build, the gather, the coordinate adjoint and the scatter walk the samples in
-cache-sized blocks; the value adjoint (scatter) adds each corner's weighted
-upstream into each channel's output plane in place, in the order of one
-corner-major pass over all samples, through scipy's sparse matrix-vector
-kernel, which only the backward pass imports.  A plan lives for one call:
-``sample`` builds one to gather every source sampled at a field in one pass,
-and ``vjp_sample`` builds one for the whole adjoint there in one sweep, so a
-field is a plain value that keeps nothing between calls.  ``upsample`` uses no
-plan: it runs one two-tap hat-weight pass per axis.
+cache-sized blocks.  Both adjoints run scipy's sparse matrix-vector kernels,
+which only the backward pass imports: the coordinate adjoint forms each
+corner's channel dot product with one single-entry-per-row CSR product per
+channel, and the value adjoint (scatter) adds each corner's weighted upstream
+into each channel's output plane in place, in the order of one corner-major
+pass over all samples, with one CSC product per channel.  The gather stays on
+``np.take``, so warps and composes leave ``scipy.sparse`` unloaded.  A plan
+lives for one call: ``sample`` builds one to gather every source sampled at a
+field in one pass, and ``vjp_sample`` builds one for the whole adjoint there in
+one sweep, so a field is a plain value that keeps nothing between calls.
+``upsample`` uses no plan: it runs one two-tap hat-weight pass per axis.
 """
 
 from __future__ import annotations
@@ -228,25 +231,38 @@ class SamplePlan:
         return out.reshape((len(ups),) + self.dims)
 
     def coords_grad(self, values, upstream) -> np.ndarray:
-        """Adjoint of ``gather`` w.r.t. the coordinates, zero where clamped.  The
-        channel dot product comes before the weight terms: one pass for any C."""
-        planes = [channel.ravel() for channel in values]
-        ups = [channel.ravel() for channel in upstream]
-        tile = min(self.base.size, _TILE)
-        corners = np.empty((len(planes), tile))
+        """Adjoint of ``gather`` w.r.t. the coordinates, zero where clamped.
+
+        Per block and corner, the channel dot product comes before the weight
+        terms, so they take one pass for any C.  The dot starts at -0.0 and adds
+        one CSR row product per channel in channel order, each matrix holding
+        one entry per row: the upstream at the corner's index."""
+        from scipy.sparse import _sparsetools  # loaded by the backward pass only
+        n, size = self.base.size, math.prod(self.dims)
+        planes = [np.asarray(c, dtype=np.float64).ravel() for c in values]
+        ups = [np.asarray(c, dtype=np.float64).ravel() for c in upstream]
+        for plane in planes:  # the kernel reads them unchecked
+            if plane.size != size:
+                raise ValueError(f"source channel has {plane.size} voxels, the grid {size}")
+        for up in ups:
+            if up.size != n:
+                raise ValueError(f"upstream channel has {up.size} samples, the plan {n}")
+        tile = min(n, _TILE)
+        rows = np.arange(tile + 1, dtype=np.intp)  # one stored entry per CSR row
         dotted, term = np.empty(tile), np.empty(tile)
-        grad = np.zeros((3, self.base.size))
-        for s in _blocks(self.base.size):
+        grad = np.zeros((3, n))
+        for s in _blocks(n):
             m, base = s.stop - s.start, self.base[s]
-            corner, dot, t = corners[:, :m], dotted[:m], term[:m]
+            dot, t = dotted[:m], term[:m]
             gx, gy, gz = grad[:, s]
             wx, wy, wz = ((1.0 - f, f) for f in self.frac[:, s])
-            for k in range(8):
+            for k, offset in enumerate(self.offsets):
                 a, b, c = k >> 2, (k >> 1) & 1, k & 1
-                for plane, up, out in zip(planes, ups, corner):
-                    np.take(plane[self.offsets[k]:], base, out=out, mode="clip")
-                    out *= up[s]
-                np.sum(corner, axis=0, out=dot)
+                dot.fill(-0.0)
+                for plane, up in zip(planes, ups):
+                    # dot[j] += up[j] * plane[offset + base[j]] for j in block s
+                    _sparsetools.csr_matvec(m, size - offset, rows, base, up[s],
+                                            plane[offset:], dot)
                 # the low corner's weight falls as its coordinate grows
                 for g, w1, w2, rising in ((gx, wy[b], wz[c], a), (gy, wx[a], wz[c], b),
                                           (gz, wx[a], wy[b], c)):

@@ -73,7 +73,7 @@ def test_cli_import_leaves_scipy_modules_unloaded():
 
 
 def test_warp_leaves_scipy_sparse_unloaded():
-    """Only the backward pass's scatter loads scipy.sparse; a warp gathers."""
+    """Only the backward pass loads scipy.sparse; a warp gathers."""
     probe = ("import sys, numpy as np\n"
              "from gradreg import deform\n"
              "from gradreg.volume import Volume\n"

@@ -224,11 +224,72 @@ def test_a_source_without_cotangent_is_left_out_of_the_sweep(case, drop):
             assert_same_bits(got, want)
 
 
+def signed_zeros(rng, shape):
+    return np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+
+
+SOURCE_KINDS = {
+    "normal": lambda rng, shape: rng.standard_normal(shape),
+    "zero": lambda rng, shape: np.zeros(shape),
+    "negative zero": lambda rng, shape: np.full(shape, -0.0),
+    "signed zeros": signed_zeros,
+    "some zeros": lambda rng, shape: np.where(rng.random(shape) < 0.3, signed_zeros(rng, shape),
+                                              rng.standard_normal(shape)),
+}
+multi_source_cases = st.fixed_dictionaries({
+    "seed": st.integers(0, 2**32 - 1),
+    "dims": st.tuples(side, side, side),
+    "on_grid": st.floats(0.0, 1.0),
+    # (channels, source kind, whether the source has a cotangent)
+    "sources": st.lists(st.tuples(st.sampled_from([1, 3]), st.sampled_from(list(SOURCE_KINDS)),
+                                  st.booleans()), min_size=1, max_size=3),
+})
+
+
+@given(multi_source_cases)
+def test_sweep_coordinate_gradient_equals_the_reference_bit_for_bit(case):
+    """The sweep's coordinate gradient over several sources is, bit for bit, the
+    reference adjoint of their channels stacked in order, the channels of a
+    source without cotangent left out; zero signs, clamped samples, samples on
+    the grid and one-voxel axes included."""
+    rng = np.random.default_rng(case["seed"])
+    dims = case["dims"]
+    coords = draw_coords(rng, dims, dims)  # partly clamped
+    on_grid = rng.random(coords.shape) < case["on_grid"]
+    coords[on_grid] = np.floor(coords[on_grid])  # grid points, the border included
+    phi = DeformationField(coords)
+    sources = [SOURCE_KINDS[kind](rng, (c,) + dims) for c, kind, _ in case["sources"]]
+    upstreams = [rng.standard_normal((c,) + dims) if has else None
+                 for c, _, has in case["sources"]]
+    coords_grad, _ = deform.vjp_sample(phi, sources, upstreams, [False] * len(sources))
+    used = [(s, u) for s, u in zip(sources, upstreams) if u is not None]
+    if not used:
+        assert_same_bits(coords_grad, np.zeros((3,) + dims))
+        return
+    values = np.concatenate([s for s, _ in used])
+    _, want = sample_vjp_ref(values, values.shape, tuple(coords),
+                             np.concatenate([u for _, u in used]))
+    assert_same_bits(coords_grad, want)
+
+
 def test_scatter_rejects_an_upstream_of_another_size():
     dims = (5, 4, 3)
     plan = SamplePlan(np.indices(dims) + 0.3, dims)
     with pytest.raises(ValueError, match="samples"):
         plan.scatter(np.ones((1, 3)))
+
+
+def test_coords_grad_rejects_a_plane_or_upstream_of_another_size():
+    dims = (5, 4, 3)
+    plan = SamplePlan(np.indices(dims) + 0.3, dims)
+    values, upstream = np.ones((2,) + dims), np.ones((2,) + dims)
+    with pytest.raises(ValueError, match="voxels"):
+        plan.coords_grad(np.ones((2, 5, 4, 2)), upstream)
+    with pytest.raises(ValueError, match="voxels"):
+        plan.coords_grad([values[0], np.ones(61)], upstream)
+    with pytest.raises(ValueError, match="samples"):
+        plan.coords_grad(values, [upstream[0], np.ones(59)])
+    assert plan.coords_grad(values, upstream).shape == (3,) + dims
 
 
 def test_scatter_peak_is_its_output_plus_block_rows():

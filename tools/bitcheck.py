@@ -29,6 +29,9 @@ deviation over every hashed array and value.  The tool keeps its own copy of
 the benchmark phantom's recipe, so that a change to the benchmark moves no
 digest.  It is a tool, not a test: a change that moves the last ulp reports
 the move.
+
+Exit status: 1 when any line reads DIFFERENT, once every line and both
+deviations are printed; 0 otherwise, and always without PARENT.
 """
 
 from __future__ import annotations
@@ -180,35 +183,40 @@ def deviation(ours: list, theirs: list) -> tuple[float, float]:
     return worst_abs, worst_rel
 
 
+def parent_items(parent: Path) -> dict[str, list]:
+    """Every case's items, computed by a child interpreter with PARENT's ``src``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = str(Path(tmp) / "parent.npz")
+        code = (f"import sys; sys.path[:0] = [{str(parent.resolve() / 'src')!r}, "
+                f"{str(Path(__file__).resolve().parent)!r}]; "
+                f"import bitcheck; bitcheck.save({out!r})")
+        subprocess.run([sys.executable, "-c", code], check=True)
+        return load(out)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", nargs="?", type=Path,
                         help="a checkout of another commit to compare against")
     args = parser.parse_args(argv)
-    theirs = None
-    if args.parent is not None:
-        with tempfile.TemporaryDirectory() as tmp:
-            out = str(Path(tmp) / "parent.npz")
-            code = (f"import sys; sys.path[:0] = [{str(args.parent.resolve() / 'src')!r}, "
-                    f"{str(Path(__file__).resolve().parent)!r}]; "
-                    f"import bitcheck; bitcheck.save({out!r})")
-            subprocess.run([sys.executable, "-c", code], check=True)
-            theirs = load(out)
+    theirs = None if args.parent is None else parent_items(args.parent)
     ours = compute()
     worst_abs = worst_rel = 0.0
+    different = False
     for name, items in ours.items():
         mine = summary(name, items)
         line = f"{name:10s} {mine}"
         if theirs is not None:
             parent = summary(name, theirs[name])
-            line += f"  parent {parent}  {'same' if parent == mine else 'DIFFERENT'}"
+            different |= parent != mine
+            line += f"  parent {parent}  {'DIFFERENT' if parent != mine else 'same'}"
             dev_abs, dev_rel = deviation(items, theirs[name])
             worst_abs, worst_rel = max(worst_abs, dev_abs), max(worst_rel, dev_rel)
         print(line, flush=True)
     if theirs is not None:
         print(f"largest absolute deviation {worst_abs:.3g}")
         print(f"largest relative deviation {worst_rel:.3g}")
-    return 0
+    return 1 if different else 0
 
 
 if __name__ == "__main__":
