@@ -263,9 +263,9 @@ def _cmd_warp(args) -> int:
 def _cmd_jacobian(args) -> int:
     field = _read_field(args.field)
     det = deform.jacobian_det(field)
-    write_volume(det, args.out)
+    write_volume(Volume(det[np.newaxis], dtype="f32"), args.out)
     if args.sdlogj:
-        print(_fmt(metrics.sdlogj_from_det(det.data[0])))
+        print(_fmt(metrics.sdlogj_from_det(det)))
     return 0
 
 

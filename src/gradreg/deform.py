@@ -15,11 +15,12 @@ All trilinear sampling at a deformation field runs through one kernel,
 ``SamplePlan``, built from the field's (3, *dims) coordinates: the flat index
 of each sample's lowest corner (N,) intp, the eight constant flat corner
 offsets, fractional offsets (3, N) f64 and the inside-mask (3, N) bool, 35
-bytes per sample.  The corner weights are products of the fractional offsets
-and are not kept: the gather computes them per block for every channel, the
-scatter one corner's row per block for every channel, so no (8, N) table is
-built.  Every pass runs over one contiguous (N,) channel plane at a time, and
-every field, gradient and warp is a C-contiguous stack of such planes.  The
+bytes per sample.  The corner weights are not kept: their one definition,
+``_corner_weight``, forms them per block, all eight in the gather and one
+corner's row in the scatter, and with one axis left out the partials of the
+coordinate adjoint, so no (8, N) table is built.  Every pass runs over one
+contiguous (N,) channel plane at a time, taken in by one check of its length,
+and every field, gradient and warp is a C-contiguous stack of such planes.  The
 build, the gather, the coordinate adjoint and the scatter walk the samples in
 cache-sized blocks.  Both adjoints run scipy's sparse matrix-vector kernels,
 which only the backward pass imports: the coordinate adjoint forms each
@@ -31,7 +32,8 @@ pass over all samples, with one CSC product per channel.  The gather stays on
 lives for one call: ``sample`` builds one to gather every source sampled at a
 field in one pass, and ``vjp_sample`` builds one for the whole adjoint there in
 one sweep, so a field is a plain value that keeps nothing between calls.
-``upsample`` uses no plan: it runs one two-tap hat-weight pass per axis.
+``upsample`` uses no plan: it runs one two-tap hat-weight pass per axis and
+returns the full-resolution array that ``activate`` squashes.
 """
 
 from __future__ import annotations
@@ -133,6 +135,26 @@ def _blocks(n: int) -> list[slice]:
     return [slice(i, min(i + _TILE, n)) for i in range(0, n, _TILE)]
 
 
+def _intake(channels, size: int, unit: str) -> list[np.ndarray]:
+    """Each channel as a flat f64 plane of ``size`` values, which the kernels do not check."""
+    planes = [np.asarray(c, dtype=np.float64).ravel() for c in channels]
+    for plane in planes:
+        if plane.size != size:
+            raise ValueError(f"channel has {plane.size} {unit}, not {size}")
+    return planes
+
+
+def _corner_weight(factors, k: int, out: np.ndarray, skip: int = -1) -> np.ndarray:
+    """Corner k's trilinear weight into ``out`` from per-axis ``factors`` ``(1 - f, f)``:
+    on each axis the factor that the corner's bit picks, multiplied x·y then ·z.
+    Leaving out axis ``skip`` gives the weight's partial along it, up to its sign."""
+    x, y, *z = (pair[(k >> (2 - axis)) & 1] for axis, pair in enumerate(factors) if axis != skip)
+    np.multiply(x, y, out=out)
+    for w in z:
+        out *= w
+    return out
+
+
 class SamplePlan:
     """Trilinear samples at coordinates (3, *shape) into a grid of ``dims``,
     each clamped to [0, n-1]; corners are ordered x-major, z-minor.
@@ -172,23 +194,22 @@ class SamplePlan:
             base += low[2]
             frac -= low
 
-    def _weights(self, s: slice, out: np.ndarray) -> np.ndarray:
-        """The (8, m) corner weights of the samples in block ``s``, into ``out``."""
-        wx, wy, wz = ((1.0 - f, f) for f in self.frac[:, s])
-        for k in range(8):
-            np.multiply(wx[k >> 2] * wy[(k >> 1) & 1], wz[k & 1], out=out[k])
-        return out
+    def _factors(self, s: slice) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per axis, the two weight factors ``(1 - f, f)`` of the samples in block ``s``."""
+        return [(1.0 - f, f) for f in self.frac[:, s]]
 
     def gather(self, sources) -> list[np.ndarray]:
         """Sample each (C, *dims) source; returns a C-contiguous (C, *shape) array
         per source.  A block's weights serve every channel of every source."""
-        sources = [[channel.ravel() for channel in source] for source in sources]
-        outs = [np.empty((len(planes), self.base.size)) for planes in sources]
-        tile = min(self.base.size, _TILE)
+        n, size = self.base.size, math.prod(self.dims)
+        sources = [_intake(source, size, "voxels") for source in sources]
+        outs = [np.empty((len(planes), n)) for planes in sources]
+        tile = min(n, _TILE)
         weights, corner = np.empty((8, tile)), np.empty(tile)
-        for s in _blocks(self.base.size):
-            m = s.stop - s.start
-            base, weight, buf = self.base[s], self._weights(s, weights[:, :m]), corner[:m]
+        for s in _blocks(n):
+            m, base = s.stop - s.start, self.base[s]
+            factors, buf = self._factors(s), corner[:m]
+            weight = [_corner_weight(factors, k, weights[k, :m]) for k in range(8)]
             for out, planes in zip(outs, sources):
                 for acc, plane in zip(out[:, s], planes):
                     np.take(plane, base, out=acc, mode="clip")
@@ -209,10 +230,7 @@ class SamplePlan:
         and no (8, N) weight table."""
         from scipy.sparse import _sparsetools  # loaded by the backward pass only
         n, size = self.base.size, math.prod(self.dims)
-        ups = [np.asarray(up, dtype=np.float64).ravel() for up in upstream]
-        for up in ups:
-            if up.size != n:  # the kernel reads n values unchecked
-                raise ValueError(f"upstream channel has {up.size} samples, the plan {n}")
+        ups = _intake(upstream, n, "samples")
         out = np.zeros((len(ups), size))
         tile = min(n, _TILE)
         columns = np.arange(tile + 1, dtype=np.intp)  # one sample per CSC column
@@ -220,10 +238,7 @@ class SamplePlan:
         for k, offset in enumerate(self.offsets):
             for s in _blocks(n):
                 m = s.stop - s.start
-                fx, fy, fz = self.frac[:, s]
-                weight = np.multiply(fx if k >> 2 else 1.0 - fx,
-                                     fy if (k >> 1) & 1 else 1.0 - fy, out=row[:m])
-                weight *= fz if k & 1 else 1.0 - fz
+                weight = _corner_weight(self._factors(s), k, row[:m])
                 for acc, up in zip(out, ups):
                     # acc[offset + base[j]] += weight[j] * up[j] for j in block s
                     _sparsetools.csc_matvec(size - offset, m, columns, self.base[s], weight,
@@ -239,38 +254,26 @@ class SamplePlan:
         one entry per row: the upstream at the corner's index."""
         from scipy.sparse import _sparsetools  # loaded by the backward pass only
         n, size = self.base.size, math.prod(self.dims)
-        planes = [np.asarray(c, dtype=np.float64).ravel() for c in values]
-        ups = [np.asarray(c, dtype=np.float64).ravel() for c in upstream]
-        for plane in planes:  # the kernel reads them unchecked
-            if plane.size != size:
-                raise ValueError(f"source channel has {plane.size} voxels, the grid {size}")
-        for up in ups:
-            if up.size != n:
-                raise ValueError(f"upstream channel has {up.size} samples, the plan {n}")
+        planes, ups = _intake(values, size, "voxels"), _intake(upstream, n, "samples")
         tile = min(n, _TILE)
         rows = np.arange(tile + 1, dtype=np.intp)  # one stored entry per CSR row
         dotted, term = np.empty(tile), np.empty(tile)
         grad = np.zeros((3, n))
         for s in _blocks(n):
-            m, base = s.stop - s.start, self.base[s]
+            m, base, factors = s.stop - s.start, self.base[s], self._factors(s)
             dot, t = dotted[:m], term[:m]
-            gx, gy, gz = grad[:, s]
-            wx, wy, wz = ((1.0 - f, f) for f in self.frac[:, s])
             for k, offset in enumerate(self.offsets):
-                a, b, c = k >> 2, (k >> 1) & 1, k & 1
                 dot.fill(-0.0)
-                for plane, up in zip(planes, ups):
+                for plane, up in zip(planes, ups, strict=True):
                     # dot[j] += up[j] * plane[offset + base[j]] for j in block s
                     _sparsetools.csr_matvec(m, size - offset, rows, base, up[s],
                                             plane[offset:], dot)
-                # the low corner's weight falls as its coordinate grows
-                for g, w1, w2, rising in ((gx, wy[b], wz[c], a), (gy, wx[a], wz[c], b),
-                                          (gz, wx[a], wy[b], c)):
-                    np.multiply(w1, w2, out=t)
+                for axis, g in enumerate(grad[:, s]):
+                    _corner_weight(factors, k, t, skip=axis)
                     t *= dot
-                    if rising:
+                    if (k >> (2 - axis)) & 1:
                         g += t
-                    else:
+                    else:  # the low corner's weight falls as its coordinate grows
                         g -= t
             grad[:, s] *= self.inside[:, s]
         return grad.reshape((3,) + self.shape)
@@ -288,8 +291,8 @@ def _hat_weights(n: int, stride: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 # forward stages
 
 
-def upsample(delta: PreActivationField, image_dims) -> PreActivationField:
-    """Trilinearly interpolate a coarse control field to full resolution.
+def upsample(delta: PreActivationField, image_dims) -> np.ndarray:
+    """Trilinearly interpolate a control field to a full-resolution (3, *image_dims) array.
 
     Exact at control points; the trailing partial cell (when stride does not
     divide the image dims) extends the last control value.  One two-tap
@@ -302,7 +305,7 @@ def upsample(delta: PreActivationField, image_dims) -> PreActivationField:
             f"{image_dims} at stride {delta.stride} (expected {expected})"
         )
     if delta.stride == 1:
-        return PreActivationField(delta.values, stride=1)
+        return delta.values
     full = delta.values
     for axis in (2, 1, 0):  # the last pass, at full size, writes whole contiguous planes
         n, m = image_dims[axis], delta.control_dims[axis]
@@ -314,15 +317,13 @@ def upsample(delta: PreActivationField, image_dims) -> PreActivationField:
             if f:
                 row += src[j + 1] * f
         full = out
-    return PreActivationField(full, stride=1)
+    return full
 
 
-def activate(x: PreActivationField) -> GradientField:
-    """Squash a full-resolution field into (0, 2): g = 2*sigmoid(x)."""
-    if x.stride != 1:
-        raise ValueError("activate expects a full-resolution field (stride 1)")
+def activate(x: np.ndarray) -> GradientField:
+    """Squash a full-resolution (3, *dims) array, ``upsample``'s, into (0, 2): g = 2*sigmoid(x)."""
     from scipy.special import expit
-    g = 2.0 * expit(x.values)
+    g = 2.0 * expit(x)
     np.clip(g, _G_MIN, _G_MAX, out=g)
     return GradientField(g)
 
@@ -454,17 +455,13 @@ def det3x3(d: np.ndarray) -> np.ndarray:
             + d[0, 2] * _cofactor(d, 0, 2))
 
 
-def jacobian_det_values(phi: DeformationField) -> np.ndarray:
-    """Determinant of the finite-difference Jacobian, shape (nx, ny, nz), slab by slab."""
+def jacobian_det(phi: DeformationField) -> np.ndarray:
+    """Determinant of the finite-difference Jacobian, slab by slab: the (nx, ny, nz)
+    array that the Jacobian hinge, SDlogJ and ``gradreg jacobian`` read."""
     det = np.empty(phi.dims)
     for rows, _, d in _slabs(phi, 0):
         det[rows] = det3x3(d)
     return det
-
-
-def jacobian_det(phi: DeformationField) -> Volume:
-    """Determinant of the finite-difference Jacobian, as a 1-channel Volume."""
-    return Volume(jacobian_det_values(phi)[np.newaxis], dtype="f32")
 
 
 def det_vjp(phi: DeformationField, upstream_det: np.ndarray) -> np.ndarray:
@@ -511,21 +508,23 @@ def vjp_sample(phi: DeformationField, sources, upstreams, scatter):
 
     ``sources`` are the (C, *dims) arrays sampled there (warped volumes, the
     outer field of a composition), ``upstreams`` their cotangents; a None
-    upstream means that source has none.  Returns the coordinate gradient, one
-    pass over the channels of every source with a cotangent, and from one
-    scatter the value gradient of each such source whose ``scatter`` flag is
-    set, else None.
+    upstream means that source has none, else it has the source's channel
+    count.  Returns the coordinate gradient, one pass over the channels of
+    every source with a cotangent, and from one scatter the value gradient of
+    each such source whose ``scatter`` flag is set, else None.
     """
+    used = [i for i, u in enumerate(upstreams) if u is not None]
+    if any(len(upstreams[i]) != len(sources[i]) for i in used):
+        raise ValueError("an upstream must have as many channels as its source")
     plan = SamplePlan(phi.values, phi.dims)
-    used = [(s, u) for s, u in zip(sources, upstreams) if u is not None]
-    coords = plan.coords_grad([c for s, _ in used for c in s], [c for _, u in used for c in u])
-    scatter = [s and u is not None for u, s in zip(upstreams, scatter)]
-    wanted = [u for u, s in zip(upstreams, scatter) if s]
-    scattered = plan.scatter([c for u in wanted for c in u]) if wanted else None
-    values, start = [], 0
-    for u, s in zip(upstreams, scatter):
-        values.append(scattered[start:start + len(u)] if s else None)
-        start += len(u) if s else 0
+    coords = plan.coords_grad([c for i in used for c in sources[i]],
+                              [c for i in used for c in upstreams[i]])
+    wanted = [i for i in used if scatter[i]]
+    values = [None] * len(sources)
+    scattered = plan.scatter([c for i in wanted for c in upstreams[i]]) if wanted else None
+    ends = np.cumsum([0] + [len(upstreams[i]) for i in wanted])
+    for i, start, stop in zip(wanted, ends, ends[1:]):
+        values[i] = scattered[start:stop]
     return coords, values
 
 

@@ -167,7 +167,6 @@ class StepForward:
 
     gs: tuple[GradientField, GradientField]
     phis: tuple[DeformationField, DeformationField]
-    breakdown: LossBreakdown
     terms: tuple[list[tuple], list[tuple]]
     sampled: tuple[list[np.ndarray], list[np.ndarray]]
 
@@ -212,9 +211,9 @@ class RegistrationResult:
     converged: bool
 
 
-def _direction_fields(x: PreActivationField, d: int):
-    """Direction d's gradient field and deformation, from +x (A-to-B) or -x (B-to-A)."""
-    g = deform.activate(x if d == 0 else PreActivationField(-x.values, stride=1))
+def _direction_fields(x: np.ndarray, d: int):
+    """Direction d's gradient field and deformation, from upsampled +x (A-to-B) or -x (B-to-A)."""
+    g = deform.activate(x if d == 0 else -x)
     return g, deform.integrate(g)
 
 
@@ -242,9 +241,10 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
     previous warped image, the previous warped one-hot labels and the other
     field, the outer map of its loss_inv composition.  The loss applies to
     every step's warped volumes against the original targets and the step
-    totals add up.  Each step keeps what the backward pass reads, the run the
-    last step's warps.  The two directions of a step run side by side
-    (``_both``): first their fields, then their warps and loss terms.
+    totals add up in step order as the steps are built.  Each step keeps what
+    the backward pass reads, the run the last step's warps.  The two directions
+    of a step run side by side (``_both``): first their fields, then their warps
+    and loss terms.
     """
     if not deltas:
         raise ValueError("at least one parameter field is required")
@@ -252,16 +252,16 @@ def multistep_forward(a: Volume, b: Volume, deltas: list[PreActivationField],
     volumes = [(a,), (b,)] if segs is None else list(zip((a, b), segs))
     targets = [(b,), (a,)] if segs is None else list(zip((b, a), segs[::-1]))
     steps: list[StepForward] = []
+    totals = [0] * len(fields(LossBreakdown))
     voxels = math.prod(a.dims)
     for delta in deltas:
         x = deform.upsample(delta, a.dims)
         gs, phis = zip(*_both(lambda d: _direction_fields(x, d), voxels))
         volumes, sampled, terms = zip(*_both(
             lambda d: _direction_loss(phis, d, volumes[d], targets[d], gs[d], weights), voxels))
-        steps.append(StepForward(gs, phis, sum_directions(terms, weights), terms, sampled))
-    breakdown = LossBreakdown(*(sum(getattr(s.breakdown, f.name) for s in steps)
-                                for f in fields(LossBreakdown)))
-    return MultistepForward(steps, breakdown, volumes)
+        totals = [t + v for t, v in zip(totals, astuple(sum_directions(terms, weights)))]
+        steps.append(StepForward(gs, phis, terms, sampled))
+    return MultistepForward(steps, LossBreakdown(*totals), volumes)
 
 
 def _cotangent(terms: list[tuple | None], i: int, w: float) -> np.ndarray | None:

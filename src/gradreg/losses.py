@@ -101,7 +101,7 @@ def loss_jac(phi: DeformationField):
     field does not fold, as its cotangent is then zero.
     """
     n = float(np.prod(phi.dims))
-    det = deform.jacobian_det_values(phi)
+    det = deform.jacobian_det(phi)
     value = float(np.sum(np.maximum(0.0, -det))) / n
     mask = det < 0.0
     if not mask.any():

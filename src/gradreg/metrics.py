@@ -89,7 +89,7 @@ def hd95(a: LabelVolume, b: LabelVolume, label: int, spacing_mm) -> float:
 
 def sdlogj(phi: DeformationField) -> float:
     """Population std of log determinant (floored at 1e-9) over all voxels."""
-    return sdlogj_from_det(deform.jacobian_det_values(phi))
+    return sdlogj_from_det(deform.jacobian_det(phi))
 
 
 def sdlogj_from_det(det: np.ndarray) -> float:

@@ -186,13 +186,13 @@ def test_jacobian_sdlogj_takes_the_determinant_once(workdir, monkeypatch, capsys
                                   + rng.normal(0.0, 0.2, (3,) + DIMS))
     write_volume(field_to_volume(phi), workdir / "f")
     calls = []
-    inner = deform.jacobian_det_values
+    inner = deform.jacobian_det
 
     def counted(field):
         calls.append(field)
         return inner(field)
 
-    monkeypatch.setattr(deform, "jacobian_det_values", counted)
+    monkeypatch.setattr(deform, "jacobian_det", counted)
     assert run("jacobian", "--field", workdir / "f", "--out", workdir / "det", "--sdlogj") == 0
     assert len(calls) == 1
     monkeypatch.undo()

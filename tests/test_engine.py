@@ -26,7 +26,7 @@ from gradreg.engine import (
     optimize,
     register_pair,
 )
-from gradreg.losses import LossWeights
+from gradreg.losses import LossWeights, sum_directions
 from gradreg.metrics import dice
 from gradreg.phantom import AnalyticWarp, Ellipsoid, PhantomSpec, make_pair
 from gradreg.volume import LabelVolume, Volume, one_hot
@@ -181,7 +181,7 @@ def test_multistep_total_is_sum_of_step_totals():
     deltas = [PreActivationField(rng.normal(0, 0.5, (3,) + DIMS)) for _ in range(3)]
     multi = multistep_forward(a, b, deltas, WEIGHTS, segs=segs)
     assert multi.breakdown.total == pytest.approx(
-        sum(s.breakdown.total for s in multi.steps), abs=1e-12
+        sum(sum_directions(s.terms, WEIGHTS).total for s in multi.steps), abs=1e-12
     )
     with pytest.raises(ValueError, match="at least one"):
         multistep_forward(a, b, [], WEIGHTS)

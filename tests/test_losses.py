@@ -211,7 +211,7 @@ def test_loss_jac_single_negative_voxel():
     vals = identity_field(dims).values.copy()
     vals[0, 3, 3, 3] = vals[0, 3, 3, 3] - 4.0  # central difference turns negative
     phi = DeformationField(vals)
-    det = deform.jacobian_det(phi).data[0]
+    det = deform.jacobian_det(phi)
     negatives = det[det < 0]
     expect = float((-negatives).sum()) / np.prod(dims)
     value = summed(loss_jac, (phi,), (identity_field(dims),))
@@ -227,7 +227,7 @@ def test_loss_jac_matches_hinge_oracle():
         acc = 0.0
         n = np.prod(DIMS)
         for phi in (phi_ab, phi_ba):
-            det = deform.jacobian_det(phi).data[0]
+            det = deform.jacobian_det(phi)
             for idx in np.ndindex(det.shape):
                 acc += max(0.0, -det[idx]) / n
         assert value == pytest.approx(acc, abs=1e-12)
@@ -237,7 +237,7 @@ def test_loss_jac_gradients_match_fd():
     rng = np.random.default_rng(6)
     phi_ab = random_field(rng, DIMS, 1.2)
     phi_ba = random_field(rng, DIMS, 1.2)
-    det = deform.jacobian_det(phi_ab).data[0]
+    det = deform.jacobian_det(phi_ab)
     assert (det < 0).any(), "instance must exercise the hinge"
     _, pullback = loss_jac(phi_ab)
 
@@ -253,8 +253,8 @@ def test_loss_jac_pullback_skips_det_vjp_without_folds(monkeypatch):
     rng = np.random.default_rng(11)
     phi_ab = random_field(rng, DIMS, 0.05)
     phi_ba = random_field(rng, DIMS, 0.05)
-    assert np.all(deform.jacobian_det(phi_ab).data > 0)
-    assert np.all(deform.jacobian_det(phi_ba).data > 0)
+    assert np.all(deform.jacobian_det(phi_ab) > 0)
+    assert np.all(deform.jacobian_det(phi_ba) > 0)
     (v_ab, pb_ab), (v_ba, pb_ba) = loss_jac(phi_ab), loss_jac(phi_ba)
 
     def unexpected(*args):
@@ -438,7 +438,7 @@ def test_loss_total_returns_both_directions_terms_in_order():
     a, ones, _, _ = identity_inputs()
     rng = np.random.default_rng(6)
     phis = (random_field(rng, DIMS, 1.2), random_field(rng, DIMS, 1.2))
-    assert all((deform.jacobian_det(phi).data < 0).any() for phi in phis)
+    assert all((deform.jacobian_det(phi) < 0).any() for phi in phis)
     for direction in both_directions((a, a), (a, a), (ones, ones), phis):
         assert direction[1] == (0.0, None)
         assert direction[3][1]().shape == (3,) + DIMS

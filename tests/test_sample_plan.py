@@ -161,7 +161,7 @@ def test_upsample_and_adjoint_match_reference_formulas():
                                ((1, 2, 7), 3)):
         control = deform.control_dims_for(image_dims, stride)
         delta = PreActivationField(rng.standard_normal((3,) + control), stride=stride)
-        assert_close(deform.upsample(delta, image_dims).values,
+        assert_close(deform.upsample(delta, image_dims),
                      upsample_ref(delta.values, image_dims, stride))
         upstream = rng.standard_normal((3,) + image_dims)
         assert_close(deform.vjp_upsample(upstream, stride, control),
@@ -280,16 +280,37 @@ def test_scatter_rejects_an_upstream_of_another_size():
 
 
 def test_coords_grad_rejects_a_plane_or_upstream_of_another_size():
+    """Every plane the gather or the coordinate adjoint reads goes through the
+    one intake check, as the kernels read them unchecked."""
     dims = (5, 4, 3)
     plan = SamplePlan(np.indices(dims) + 0.3, dims)
     values, upstream = np.ones((2,) + dims), np.ones((2,) + dims)
+    with pytest.raises(ValueError, match="voxels"):
+        plan.gather([np.ones((2, 5, 4, 2))])
+    with pytest.raises(ValueError, match="voxels"):
+        plan.gather([values, [values[0], np.ones(61)]])
     with pytest.raises(ValueError, match="voxels"):
         plan.coords_grad(np.ones((2, 5, 4, 2)), upstream)
     with pytest.raises(ValueError, match="voxels"):
         plan.coords_grad([values[0], np.ones(61)], upstream)
     with pytest.raises(ValueError, match="samples"):
         plan.coords_grad(values, [upstream[0], np.ones(59)])
+    with pytest.raises(ValueError):
+        plan.coords_grad(values, upstream[:1])
     assert plan.coords_grad(values, upstream).shape == (3,) + dims
+    assert [out.shape for out in plan.gather([values, values[:1]])] == [(2,) + dims,
+                                                                       (1,) + dims]
+
+
+def test_vjp_sample_refuses_an_upstream_of_another_channel_count():
+    """A 2-channel upstream of a 3-channel source would leave one channel out of
+    the coordinate gradient, and its split would shift every later source's."""
+    dims = (5, 4, 3)
+    phi = DeformationField(np.indices(dims) + 0.3)
+    image, field = np.ones((1,) + dims), np.ones((3,) + dims)
+    for scatter in ([False, False], [False, True], [True, True]):
+        with pytest.raises(ValueError, match="channels"):
+            deform.vjp_sample(phi, [image, field], [image, np.ones((2,) + dims)], scatter)
 
 
 def test_scatter_peak_is_its_output_plus_block_rows():

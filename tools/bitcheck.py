@@ -19,6 +19,10 @@ every value.  The cases are
     stride 2, labels) at 8^3 and 24^3: each gradient, then the total;
 - ``grad32C13``: the gradient at 32^3 with 13 label channels (steps 2,
   stride 4, N(0, 0.3) deltas, labels 0..13, seed 0);
+- ``48s2Leval``: ``evaluate_pair`` of the ``48s2L`` registration, the fixed
+  labels against the moving labels warped with ``warp_labels`` at ``phi_ab``:
+  the Dice of labels 1, 2 and 3, then their HD95, then the SDlogJ of
+  ``phi_ab``;
 - ``gradcheck``: the ``float.hex`` of each entry of
   ``gradient_check((5, 5, 5), RegistrationConfig(steps=2, control_stride=2))``.
 
@@ -39,6 +43,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -46,6 +51,9 @@ from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
+
+
+LABELS = [1, 2, 3]
 
 
 def _phantom_inputs(n: int, labels: bool):
@@ -66,22 +74,43 @@ def _phantom_inputs(n: int, labels: bool):
                      AnalyticWarp.from_json(json.dumps(warp)))
     segs = None
     if labels:
-        segs = (one_hot(pair.moving_labels, [1, 2, 3]), one_hot(pair.fixed_labels, [1, 2, 3]))
-    return pair.moving, pair.fixed, segs
+        segs = (one_hot(pair.moving_labels, LABELS), one_hot(pair.fixed_labels, LABELS))
+    return pair, segs
 
 
-def _registration(n, steps, labels, iterations, inference_steps=None, **weights):
+def _register(n, steps, labels, iterations, inference_steps=None, **weights):
+    """The phantom pair and its ``register_pair`` result."""
+    from gradreg.engine import RegistrationConfig, register_pair
+    from gradreg.losses import LossWeights
+
+    pair, segs = _phantom_inputs(n, labels)
+    config = RegistrationConfig(weights=LossWeights(**weights), steps=steps,
+                                iterations=iterations, convergence_tol=0.0)
+    return pair, register_pair(pair.moving, pair.fixed, config, segs=segs,
+                               inference_steps=inference_steps)
+
+
+def _registration(*args, **kwargs):
     def run():
-        from gradreg.engine import RegistrationConfig, register_pair
-        from gradreg.losses import LossWeights
-
-        moving, fixed, segs = _phantom_inputs(n, labels)
-        config = RegistrationConfig(weights=LossWeights(**weights), steps=steps,
-                                    iterations=iterations, convergence_tol=0.0)
-        r = register_pair(moving, fixed, config, segs=segs, inference_steps=inference_steps)
+        _, r = _register(*args, **kwargs)
         arrays = [r.phi_ab.values, r.phi_ba.values, r.a_warp.data, r.b_warp.data]
         return (arrays + [d.values for d in r.deltas]
                 + [v for bd in r.trace + [r.final] for v in astuple(bd)])
+    return run
+
+
+def _evaluation(*args):
+    """``evaluate_pair`` of a labelled registration; a label missing from
+    either volume gives NaN for its Dice and HD95."""
+    def run():
+        from gradreg.deform import warp_labels
+        from gradreg.metrics import evaluate_pair
+
+        pair, r = _register(*args)
+        m = evaluate_pair(pair.fixed_labels, warp_labels(pair.moving_labels, r.phi_ab),
+                          r.phi_ab, LABELS, pair.fixed.spacing_mm)
+        per_label = [m.dice_per_label[k] for k in LABELS] + [m.hd95_per_label[k] for k in LABELS]
+        return [math.nan if v is None else v for v in per_label] + [m.sdlogj]
     return run
 
 
@@ -132,6 +161,7 @@ CASES = {
     "grad24": _gradient(24, 2, 1.5, [1, 2]),
     "grad32C13": _gradient(32, 4, 0.3, list(range(1, 14))),
     "gradcheck": _gradcheck,
+    "48s2Leval": _evaluation(48, 2, True, 3),
 }
 
 
