@@ -19,7 +19,7 @@ bytes per sample.  The corner weights are not kept: their one definition,
 ``_corner_weight``, forms them per block, all eight in the gather and one
 corner's row in the scatter, and with one axis left out the partials of the
 coordinate adjoint, so no (8, N) table is built.  Every pass runs over one
-contiguous (N,) channel plane at a time, taken in by one check of its length,
+contiguous (N,) channel plane at a time, taken in by one check of its shape,
 and every field, gradient and warp is a C-contiguous stack of such planes.  The
 build, the gather, the coordinate adjoint and the scatter walk the samples in
 cache-sized blocks.  Both adjoints run scipy's sparse matrix-vector kernels,
@@ -135,23 +135,23 @@ def _blocks(n: int) -> list[slice]:
     return [slice(i, min(i + _TILE, n)) for i in range(0, n, _TILE)]
 
 
-def _intake(channels, size: int, unit: str) -> list[np.ndarray]:
-    """Each channel as a flat f64 plane of ``size`` values, which the kernels do not check."""
-    planes = [np.asarray(c, dtype=np.float64).ravel() for c in channels]
+def _intake(channels, shape: tuple, unit: str) -> list[np.ndarray]:
+    """Each channel, checked to have ``shape``, as a flat f64 plane: the kernels don't check."""
+    planes = [np.asarray(c, dtype=np.float64) for c in channels]
     for plane in planes:
-        if plane.size != size:
-            raise ValueError(f"channel has {plane.size} {unit}, not {size}")
-    return planes
+        if plane.shape != shape:
+            raise ValueError(f"channel dims {plane.shape} != {unit} {shape}")
+    return [plane.ravel() for plane in planes]
 
 
-def _corner_weight(factors, k: int, out: np.ndarray, skip: int = -1) -> np.ndarray:
-    """Corner k's trilinear weight into ``out`` from per-axis ``factors`` ``(1 - f, f)``:
-    on each axis the factor that the corner's bit picks, multiplied x·y then ·z.
+def _corner_weight(factors, bits, out: np.ndarray, skip: int = -1) -> np.ndarray:
+    """A corner's trilinear weight into ``out`` from per-axis ``factors`` ``(1 - f, f)``:
+    on each axis the factor that the corner's ``bits`` pick, multiplied x·y then ·z.
     Leaving out axis ``skip`` gives the weight's partial along it, up to its sign."""
-    x, y, *z = (pair[(k >> (2 - axis)) & 1] for axis, pair in enumerate(factors) if axis != skip)
-    np.multiply(x, y, out=out)
-    for w in z:
-        out *= w
+    picked = [pair[bit] for axis, (pair, bit) in enumerate(zip(factors, bits)) if axis != skip]
+    np.multiply(picked[0], picked[1], out=out)
+    if len(picked) == 3:
+        out *= picked[2]
     return out
 
 
@@ -176,8 +176,8 @@ class SamplePlan:
         top = np.array(self.dims, dtype=np.float64)[:, None] - 1.0
         high = np.maximum(top.astype(np.intp) - 1, 0)
         sx, sy, sz = (step if n > 1 else 0 for step, n in zip((ny * nz, nz, 1), self.dims))
-        self.offsets = tuple(a * sx + b * sy + c * sz
-                             for a in (0, 1) for b in (0, 1) for c in (0, 1))
+        self.corners = tuple((a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+        self.offsets = tuple(a * sx + b * sy + c * sz for a, b, c in self.corners)
         self.base = np.empty(samples, dtype=np.intp)
         self.frac = np.empty((3, samples))
         self.inside = np.empty((3, samples), dtype=bool)
@@ -194,22 +194,24 @@ class SamplePlan:
             base += low[2]
             frac -= low
 
-    def _factors(self, s: slice) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per axis, the two weight factors ``(1 - f, f)`` of the samples in block ``s``."""
-        return [(1.0 - f, f) for f in self.frac[:, s]]
+    def _factors(self, s: slice, low: np.ndarray, bits=(0, 0, 0)) -> list[tuple]:
+        """Per axis, the weight factors ``(1 - f, f)`` of block ``s``, ``1 - f`` into a row
+        of the (3, tile) buffer ``low``; it is None where the corner ``bits`` pick ``f``."""
+        return [(None if bit else np.subtract(1.0, f, out=row[:f.size]), f)
+                for f, row, bit in zip(self.frac[:, s], low, bits)]
 
     def gather(self, sources) -> list[np.ndarray]:
         """Sample each (C, *dims) source; returns a C-contiguous (C, *shape) array
         per source.  A block's weights serve every channel of every source."""
-        n, size = self.base.size, math.prod(self.dims)
-        sources = [_intake(source, size, "voxels") for source in sources]
+        n = self.base.size
+        sources = [_intake(source, self.dims, "grid voxels") for source in sources]
         outs = [np.empty((len(planes), n)) for planes in sources]
         tile = min(n, _TILE)
-        weights, corner = np.empty((8, tile)), np.empty(tile)
+        weights, low, corner = np.empty((8, tile)), np.empty((3, tile)), np.empty(tile)
         for s in _blocks(n):
             m, base = s.stop - s.start, self.base[s]
-            factors, buf = self._factors(s), corner[:m]
-            weight = [_corner_weight(factors, k, weights[k, :m]) for k in range(8)]
+            factors, buf, table = self._factors(s, low), corner[:m], weights[:, :m]
+            weight = [_corner_weight(factors, bits, w) for bits, w in zip(self.corners, table)]
             for out, planes in zip(outs, sources):
                 for acc, plane in zip(out[:, s], planes):
                     np.take(plane, base, out=acc, mode="clip")
@@ -230,15 +232,15 @@ class SamplePlan:
         and no (8, N) weight table."""
         from scipy.sparse import _sparsetools  # loaded by the backward pass only
         n, size = self.base.size, math.prod(self.dims)
-        ups = _intake(upstream, n, "samples")
+        ups = _intake(upstream, self.shape, "plan samples")
         out = np.zeros((len(ups), size))
         tile = min(n, _TILE)
         columns = np.arange(tile + 1, dtype=np.intp)  # one sample per CSC column
-        row = np.empty(tile)
-        for k, offset in enumerate(self.offsets):
+        row, low = np.empty(tile), np.empty((3, tile))
+        for bits, offset in zip(self.corners, self.offsets):
             for s in _blocks(n):
                 m = s.stop - s.start
-                weight = _corner_weight(self._factors(s), k, row[:m])
+                weight = _corner_weight(self._factors(s, low, bits), bits, row[:m])
                 for acc, up in zip(out, ups):
                     # acc[offset + base[j]] += weight[j] * up[j] for j in block s
                     _sparsetools.csc_matvec(size - offset, m, columns, self.base[s], weight,
@@ -254,24 +256,25 @@ class SamplePlan:
         one entry per row: the upstream at the corner's index."""
         from scipy.sparse import _sparsetools  # loaded by the backward pass only
         n, size = self.base.size, math.prod(self.dims)
-        planes, ups = _intake(values, size, "voxels"), _intake(upstream, n, "samples")
+        planes = _intake(values, self.dims, "grid voxels")
+        ups = _intake(upstream, self.shape, "plan samples")
         tile = min(n, _TILE)
         rows = np.arange(tile + 1, dtype=np.intp)  # one stored entry per CSR row
-        dotted, term = np.empty(tile), np.empty(tile)
+        dotted, term, low = np.empty(tile), np.empty(tile), np.empty((3, tile))
         grad = np.zeros((3, n))
         for s in _blocks(n):
-            m, base, factors = s.stop - s.start, self.base[s], self._factors(s)
-            dot, t = dotted[:m], term[:m]
-            for k, offset in enumerate(self.offsets):
+            m, base, factors = s.stop - s.start, self.base[s], self._factors(s, low)
+            dot, t, gs = dotted[:m], term[:m], list(grad[:, s])
+            for bits, offset in zip(self.corners, self.offsets):
                 dot.fill(-0.0)
                 for plane, up in zip(planes, ups, strict=True):
                     # dot[j] += up[j] * plane[offset + base[j]] for j in block s
                     _sparsetools.csr_matvec(m, size - offset, rows, base, up[s],
                                             plane[offset:], dot)
-                for axis, g in enumerate(grad[:, s]):
-                    _corner_weight(factors, k, t, skip=axis)
+                for axis, g in enumerate(gs):
+                    _corner_weight(factors, bits, t, skip=axis)
                     t *= dot
-                    if (k >> (2 - axis)) & 1:
+                    if bits[axis]:
                         g += t
                     else:  # the low corner's weight falls as its coordinate grows
                         g -= t
@@ -349,9 +352,6 @@ def sample(phi: DeformationField, sources) -> list[np.ndarray]:
     """Trilinear samples at ``phi`` of every (C, *dims) source, in one pass of a
     plan built here: a separate (C, *dims) array per source.  The mirror of
     ``vjp_sample``."""
-    for source in sources:
-        if source.shape[1:] != phi.dims:
-            raise ValueError(f"source dims {source.shape[1:]} != field dims {phi.dims}")
     return SamplePlan(phi.values, phi.dims).gather(sources)
 
 

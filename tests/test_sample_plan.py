@@ -304,13 +304,17 @@ def test_coords_grad_rejects_a_plane_or_upstream_of_another_size():
 
 def test_vjp_sample_refuses_an_upstream_of_another_channel_count():
     """A 2-channel upstream of a 3-channel source would leave one channel out of
-    the coordinate gradient, and its split would shift every later source's."""
+    the coordinate gradient, and its split would shift every later source's.
+    A source laid out on other dims of the same size is refused too."""
     dims = (5, 4, 3)
     phi = DeformationField(np.indices(dims) + 0.3)
     image, field = np.ones((1,) + dims), np.ones((3,) + dims)
     for scatter in ([False, False], [False, True], [True, True]):
         with pytest.raises(ValueError, match="channels"):
             deform.vjp_sample(phi, [image, field], [image, np.ones((2,) + dims)], scatter)
+        transposed = np.ones((1, 4, 5, 3))
+        with pytest.raises(ValueError, match="dims"):
+            deform.vjp_sample(phi, [transposed, field], [transposed, field], scatter)
 
 
 def test_scatter_peak_is_its_output_plus_block_rows():
